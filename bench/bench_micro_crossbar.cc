@@ -154,35 +154,48 @@ BM_CrossbarMvmAnalogBatch(benchmark::State &state)
 }
 BENCHMARK(BM_CrossbarMvmAnalogBatch)->Args({256, 8})->Args({256, 32});
 
+/**
+ * One composed MVM on a rows x cols engine: the 256 x 256 mat, and the
+ * MLP / CNN-1 tile shapes, where per-call overhead dominates.
+ */
 void
 BM_ComposedMatMvm(benchmark::State &state)
 {
-    const int n = static_cast<int>(state.range(0));
+    const int rows = static_cast<int>(state.range(0));
+    const int cols = static_cast<int>(state.range(1));
     ComposingParams cp;
     CrossbarParams xp;
-    static std::map<int, std::unique_ptr<ComposedMatrixEngine>> cache;
-    auto it = cache.find(n);
+    static std::map<std::pair<int, int>,
+                    std::unique_ptr<ComposedMatrixEngine>>
+        cache;
+    const auto key = std::make_pair(rows, cols);
+    auto it = cache.find(key);
     if (it == cache.end()) {
         auto engine =
-            std::make_unique<ComposedMatrixEngine>(n, n, cp, xp);
+            std::make_unique<ComposedMatrixEngine>(rows, cols, cp, xp);
         Rng rng(9);
-        std::vector<std::vector<int>> w(n, std::vector<int>(n));
+        std::vector<std::vector<int>> w(rows, std::vector<int>(cols));
         for (auto &r : w)
             for (int &v : r)
                 v = static_cast<int>(rng.uniformInt(-255, 255));
         engine->programWeights(w);
-        it = cache.emplace(n, std::move(engine)).first;
+        it = cache.emplace(key, std::move(engine)).first;
     }
     Rng rng(10);
-    std::vector<int> in(static_cast<std::size_t>(n));
+    std::vector<int> in(static_cast<std::size_t>(rows));
     for (int &v : in)
         v = static_cast<int>(rng.uniformInt(0, 63));
     for (auto _ : state)
         benchmark::DoNotOptimize(it->second->mvmExact(in));
     state.SetItemsProcessed(state.iterations() *
-                            static_cast<std::int64_t>(n) * n);
+                            static_cast<std::int64_t>(rows) * cols);
 }
-BENCHMARK(BM_ComposedMatMvm)->Arg(64)->Arg(256);
+BENCHMARK(BM_ComposedMatMvm)
+    ->Args({64, 64})
+    ->Args({256, 256})
+    ->Args({25, 5})
+    ->Args({70, 10})
+    ->Args({208, 70});
 
 /** Batched composed MVM through the full composing pipeline. */
 void

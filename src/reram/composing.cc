@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "common/logging.hh"
+#include "reram/simd_clones.hh"
 
 namespace prime::reram {
 
@@ -193,10 +194,14 @@ ComposedMatrixEngine::ComposedMatrixEngine(int rows, int cols,
           cp.cellBits = p.cellBits;
           cp.inputBits = p.inputPhaseBits;
           return cp;
-      }())
+      }()),
+      pitch_((cols * 2 + 63) / 64 * 64),
+      signedPlane_(static_cast<std::size_t>(rows) * pitch_, 0)
 {
     PRIME_ASSERT(p.consistent(), "inconsistent composing parameters");
     PRIME_ASSERT(rows > 0 && cols > 0, "bad engine geometry");
+    PRIME_ASSERT(p.cellBits <= 7, "cellBits=", p.cellBits,
+                 " exceeds the int8 signed plane");
 }
 
 void
@@ -217,20 +222,14 @@ ComposedMatrixEngine::programWeights(
         }
     }
     arrays_.programSigned(physical, rng);
+    // programSigned stores max(w, 0) / max(-w, 0): the signed plane is
+    // the physical matrix itself.
+    std::int8_t *plane = signedPlane_.data();
+    for (const std::vector<int> &row : physical) {
+        std::copy(row.begin(), row.end(), plane);
+        plane += pitch_;
+    }
     logicalWeights_ = weights;
-}
-
-std::vector<std::int64_t>
-ComposedMatrixEngine::assemble(const std::vector<std::int64_t> &hh,
-                               const std::vector<std::int64_t> &hl,
-                               const std::vector<std::int64_t> &lh,
-                               const std::vector<std::int64_t> &ll) const
-{
-    std::vector<std::int64_t> out(cols_, 0);
-    for (int c = 0; c < cols_; ++c)
-        out[c] = composedAssemble(hh[c], hl[c], lh[c], ll[c], composing_,
-                                  outputShift_);
-    return out;
 }
 
 void
@@ -240,29 +239,151 @@ ComposedMatrixEngine::calibrateOutputShift()
     outputShift_ = calibratedOutputShift(logicalWeights_, composing_);
 }
 
-std::vector<std::int64_t>
-ComposedMatrixEngine::mvmExact(std::span<const int> inputs) const
+namespace {
+
+/**
+ * One row chunk of the fused exact MVM: both input phases in a single
+ * pass over the signed plane, hi(in_r) * plane[r][j] into the high-phase
+ * sums and lo(in_r) * plane[r][j] into the low-phase sums.  The chunk
+ * accumulates in int16 (@p narrow, high | low halves of 2 * @p width)
+ * -- the caller bounds @p rows by ComposingParams::narrowChunkRows --
+ * and is then widened into the running int64 sums @p wide.
+ */
+PRIME_MVM_INT_CLONES void
+accumulateSignedChunk(std::int16_t *__restrict narrow,
+                      std::int64_t *__restrict wide,
+                      const std::int8_t *__restrict plane,
+                      const int *__restrict inputs, int rows, int width,
+                      int phase_bits)
+{
+    const int mask = (1 << phase_bits) - 1;
+    std::int16_t *acc_high = narrow;
+    std::int16_t *acc_low = narrow + width;
+    std::fill_n(narrow, 2 * width, 0);
+    for (int r = 0; r < rows; ++r) {
+        const int in = inputs[r];
+        if (in == 0)
+            continue;
+        const std::int16_t hi = static_cast<std::int16_t>(in >> phase_bits);
+        const std::int16_t lo = static_cast<std::int16_t>(in & mask);
+        const std::int8_t *row = plane + static_cast<std::size_t>(r) * width;
+        for (int j = 0; j < width; ++j) {
+            acc_high[j] = static_cast<std::int16_t>(acc_high[j] + hi * row[j]);
+            acc_low[j] = static_cast<std::int16_t>(acc_low[j] + lo * row[j]);
+        }
+    }
+    for (int j = 0; j < 2 * width; ++j)
+        wide[j] += narrow[j];
+}
+
+/** SA conversion constants of one composing component (see assemble). */
+struct SaWindow
+{
+    int down;           ///< window sits this many bits up
+    int up;             ///< digital up-shift of a sub-unit window
+    std::int64_t half;  ///< half-LSB reference offset
+};
+
+/**
+ * out[c] = sum over the four components of their saturated, shifted SA
+ * codes; @p high / @p low hold HH, LH / HL, LL at bitlines 2c, 2c + 1.
+ */
+PRIME_MVM_INT_CLONES void
+assembleColumns(const std::int64_t *__restrict high,
+                const std::int64_t *__restrict low,
+                std::int64_t *__restrict out, int cols,
+                const SaWindow *__restrict windows, std::int64_t sa_lo,
+                std::int64_t sa_hi)
+{
+    const SaWindow hh = windows[0], hl = windows[1], lh = windows[2],
+                   ll = windows[3];
+    auto convert = [&](std::int64_t x, const SaWindow &k) {
+        return std::clamp((x + k.half) >> k.down, sa_lo, sa_hi) << k.up;
+    };
+    for (int c = 0; c < cols; ++c)
+        out[c] = convert(high[2 * c], hh) + convert(low[2 * c], hl) +
+                 convert(high[2 * c + 1], lh) + convert(low[2 * c + 1], ll);
+}
+
+/** Per-thread buffers of the composed MVMs, grown once and reused. */
+struct ComposeScratch
+{
+    std::vector<std::int16_t> narrow;  ///< high | low int16 chunk sums
+    std::vector<std::int64_t> wide;    ///< high | low component sums
+};
+
+ComposeScratch &
+composeScratch(std::size_t width)
+{
+    thread_local ComposeScratch scratch;
+    if (scratch.wide.size() < 2 * width) {
+        scratch.narrow.resize(2 * width);
+        scratch.wide.resize(2 * width);
+    }
+    return scratch;
+}
+
+} // namespace
+
+void
+ComposedMatrixEngine::mvmExactInto(std::span<const int> inputs,
+                                   std::int64_t *out) const
 {
     PRIME_ASSERT(static_cast<int>(inputs.size()) == rows_,
                  "inputs=", inputs.size());
-    std::vector<int> high(rows_), low(rows_);
-    for (int r = 0; r < rows_; ++r) {
-        auto [ih, il] = splitInput(inputs[r], composing_);
-        high[r] = ih;
-        low[r] = il;
-    }
-    // High input phase: even bitlines give HH, odd give LH.
-    std::vector<std::int64_t> pass_h = arrays_.mvmExact(high);
-    // Low input phase: even bitlines give HL, odd give LL.
-    std::vector<std::int64_t> pass_l = arrays_.mvmExact(low);
-    std::vector<std::int64_t> hh(cols_), hl(cols_), lh(cols_), ll(cols_);
-    for (int c = 0; c < cols_; ++c) {
-        hh[c] = pass_h[2 * c];
-        lh[c] = pass_h[2 * c + 1];
-        hl[c] = pass_l[2 * c];
-        ll[c] = pass_l[2 * c + 1];
-    }
-    return assemble(hh, hl, lh, ll);
+    const int in_limit = 1 << composing_.inputBits;
+    for (int r = 0; r < rows_; ++r)
+        PRIME_ASSERT(inputs[r] >= 0 && inputs[r] < in_limit, "input code ",
+                     inputs[r], " out of range at row ", r);
+
+    const std::size_t pitch = static_cast<std::size_t>(pitch_);
+    ComposeScratch &scratch = composeScratch(pitch);
+    std::int64_t *high = scratch.wide.data();
+    std::int64_t *low = high + pitch;
+    std::fill_n(high, 2 * pitch, 0);
+    const int chunk = composing_.narrowChunkRows();
+    for (int r0 = 0; r0 < rows_; r0 += chunk)
+        accumulateSignedChunk(scratch.narrow.data(), high,
+                              signedPlane_.data() + r0 * pitch,
+                              inputs.data() + r0, std::min(chunk, rows_ - r0),
+                              pitch_, composing_.inputPhaseBits);
+    assemble(high, low, out);
+}
+
+void
+ComposedMatrixEngine::assemble(const std::int64_t *high,
+                               const std::int64_t *low,
+                               std::int64_t *out) const
+{
+    // composedAssemble with the per-component constants hoisted: each
+    // component's SA window either sits `down` bits up (rounded to
+    // nearest by the half-LSB offset) or is finer than one level unit,
+    // in which case the adder shifts the saturated code `up`.
+    auto window = [&](int magnitude) {
+        const int shift = outputShift_ - magnitude;
+        SaWindow k{std::max(shift, 0), std::max(-shift, 0), 0};
+        if (k.down > 0)
+            k.half = std::int64_t{1} << (k.down - 1);
+        return k;
+    };
+    const ComposingParams &p = composing_;
+    const SaWindow windows[4] = {
+        window((p.inputBits + p.weightBits) / 2),  // HH
+        window(p.weightBits / 2),                  // HL
+        window(p.inputBits / 2),                   // LH
+        window(0),                                 // LL
+    };
+    assembleColumns(high, low, out, cols_, windows,
+                    -(std::int64_t{1} << p.outputBits),
+                    (std::int64_t{1} << p.outputBits) - 1);
+}
+
+std::vector<std::int64_t>
+ComposedMatrixEngine::mvmExact(std::span<const int> inputs) const
+{
+    std::vector<std::int64_t> out(static_cast<std::size_t>(cols_));
+    mvmExactInto(inputs, out.data());
+    return out;
 }
 
 std::vector<std::int64_t>
@@ -280,17 +401,17 @@ ComposedMatrixEngine::mvmAnalog(std::span<const int> inputs, Rng *rng) const
     std::vector<double> pass_l = arrays_.mvmAnalog(low, rng);
     // The SA digitizes each component to the nearest level-unit code
     // before the precision-control adder truncates and accumulates.
-    auto digitize = [](double x) {
-        return static_cast<std::int64_t>(std::llround(x));
-    };
-    std::vector<std::int64_t> hh(cols_), hl(cols_), lh(cols_), ll(cols_);
-    for (int c = 0; c < cols_; ++c) {
-        hh[c] = digitize(pass_h[2 * c]);
-        lh[c] = digitize(pass_h[2 * c + 1]);
-        hl[c] = digitize(pass_l[2 * c]);
-        ll[c] = digitize(pass_l[2 * c + 1]);
+    const std::size_t width = static_cast<std::size_t>(cols_) * 2;
+    ComposeScratch &scratch = composeScratch(width);
+    std::int64_t *codes_h = scratch.wide.data();
+    std::int64_t *codes_l = codes_h + width;
+    for (std::size_t j = 0; j < width; ++j) {
+        codes_h[j] = std::llround(pass_h[j]);
+        codes_l[j] = std::llround(pass_l[j]);
     }
-    return assemble(hh, hl, lh, ll);
+    std::vector<std::int64_t> out(static_cast<std::size_t>(cols_));
+    assemble(codes_h, codes_l, out.data());
+    return out;
 }
 
 std::vector<std::vector<std::int64_t>>
@@ -299,28 +420,10 @@ ComposedMatrixEngine::mvmExactBatch(
 {
     std::vector<std::vector<std::int64_t>> out;
     out.reserve(inputs.size());
-    std::vector<int> high(static_cast<std::size_t>(rows_)),
-        low(static_cast<std::size_t>(rows_));
     for (const std::vector<int> &sample : inputs) {
-        PRIME_ASSERT(static_cast<int>(sample.size()) == rows_,
-                     "inputs=", sample.size());
-        for (int r = 0; r < rows_; ++r) {
-            auto [ih, il] = splitInput(sample[static_cast<std::size_t>(r)],
-                                       composing_);
-            high[static_cast<std::size_t>(r)] = ih;
-            low[static_cast<std::size_t>(r)] = il;
-        }
-        std::vector<std::int64_t> pass_h = arrays_.mvmExact(high);
-        std::vector<std::int64_t> pass_l = arrays_.mvmExact(low);
-        std::vector<std::int64_t> hh(cols_), hl(cols_), lh(cols_),
-            ll(cols_);
-        for (int c = 0; c < cols_; ++c) {
-            hh[c] = pass_h[2 * c];
-            lh[c] = pass_h[2 * c + 1];
-            hl[c] = pass_l[2 * c];
-            ll[c] = pass_l[2 * c + 1];
-        }
-        out.push_back(assemble(hh, hl, lh, ll));
+        std::vector<std::int64_t> &row =
+            out.emplace_back(static_cast<std::size_t>(cols_));
+        mvmExactInto(sample, row.data());
     }
     return out;
 }

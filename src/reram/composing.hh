@@ -34,6 +34,7 @@
 #define PRIME_RERAM_COMPOSING_HH
 
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <span>
 #include <vector>
@@ -63,6 +64,20 @@ struct ComposingParams
     {
         return inputPhaseBits * 2 == inputBits && cellBits * 2 == weightBits &&
                outputBits >= 1 && outputBits <= 8;
+    }
+
+    /**
+     * Rows one int16 partial-sum chunk of the fused exact MVM may span:
+     * each row adds at most (2^(Pin/2) - 1) * (2^(Pw/2) - 1) in
+     * magnitude (3-bit phase x signed 4-bit level = 105 by default, so
+     * 312 rows).  At least 1 for every engine-supported width.
+     */
+    int
+    narrowChunkRows() const
+    {
+        const int max_product =
+            ((1 << inputPhaseBits) - 1) * ((1 << cellBits) - 1);
+        return std::numeric_limits<std::int16_t>::max() / max_product;
     }
 };
 
@@ -137,6 +152,17 @@ std::int64_t composedAssemble(std::int64_t hh, std::int64_t hl,
  * phase); the high pass yields the HH and LH components, the low pass the
  * HL and LL components, and the precision-control register+adder
  * (Figure 4 C) accumulates the truncated parts.
+ *
+ * The ideal (exact) path is fused.  In Figure 4 the column mux subtracts
+ * the negative array's bitline current from the positive one *before*
+ * the SA digitizes a component, so each component is an exact integer
+ * dot product against the signed level difference.  The engine keeps
+ * that difference as one int8 plane (rows x 2*cols, pos level - neg
+ * level, hi/lo bitlines interleaved), built once in programWeights, and
+ * mvmExact accumulates both input phases in a single pass over it.  The
+ * result is bit-identical to the two-pass, two-array formulation.
+ * mvmAnalog keeps the per-array conductance planes, which carry the
+ * programming variation, read noise and IR drop.
  */
 class ComposedMatrixEngine
 {
@@ -192,6 +218,17 @@ class ComposedMatrixEngine
 
     int rows() const { return rows_; }
     int cols() const { return cols_; }
+    /** Positive/negative crossbar pair (analog path, wear, levels). */
+    const DifferentialPair &arrays() const { return arrays_; }
+    /** Signed level plane of the exact path: row r, physical bitline j
+     *  at r * planePitch() + j; bitlines past 2*cols are zero padding. */
+    std::span<const std::int8_t> signedPlane() const
+    {
+        return signedPlane_;
+    }
+    /** Row stride of signedPlane(): 2*cols rounded up to a multiple of
+     *  64, so narrow tiles still fill whole SIMD vectors. */
+    int planePitch() const { return pitch_; }
     const ComposingParams &composing() const { return composing_; }
 
     /** Configured SA-window shift (defaults to the paper's full-scale
@@ -216,12 +253,16 @@ class ComposedMatrixEngine
     }
 
   private:
-    /** Assemble target codes from per-phase component results. */
-    std::vector<std::int64_t>
-    assemble(const std::vector<std::int64_t> &hh,
-             const std::vector<std::int64_t> &hl,
-             const std::vector<std::int64_t> &lh,
-             const std::vector<std::int64_t> &ll) const;
+    /** Fused exact MVM of one input vector into @p out (cols_ codes). */
+    void mvmExactInto(std::span<const int> inputs, std::int64_t *out) const;
+
+    /**
+     * Precision-control adder over all columns: @p high and @p low are
+     * the high- and low-phase component sums per physical bitline
+     * (even = high weight half, odd = low), i.e. HH/LH and HL/LL.
+     */
+    void assemble(const std::int64_t *high, const std::int64_t *low,
+                  std::int64_t *out) const;
 
     int rows_;
     int cols_;
@@ -229,6 +270,10 @@ class ComposedMatrixEngine
     ComposingParams composing_;
     int outputShift_;
     DifferentialPair arrays_;
+    int pitch_;
+    /** pos - neg stored level per cell; written only by programWeights,
+     *  as are arrays_. */
+    std::vector<std::int8_t> signedPlane_;
     std::vector<std::vector<int>> logicalWeights_;
 };
 

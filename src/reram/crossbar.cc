@@ -3,41 +3,13 @@
 #include <algorithm>
 
 #include "common/logging.hh"
+#include "reram/simd_clones.hh"
 
 namespace prime::reram {
 
 namespace {
 
-// Runtime-dispatched SIMD clones of the two MVM inner loops (GCC/ELF
-// x86-64 only; elsewhere the plain -O3 loop is used).  The integer
-// kernel is exact under any ISA.  The double kernel deliberately stops
-// at "avx2" (no FMA target): mul-then-add per element is identically
-// rounded on every clone, keeping analog results bit-exact across
-// machines.
-//
-// Disabled under sanitizers: target_clones emits GNU ifunc resolvers,
-// which the dynamic linker runs during relocation -- before the
-// ASan/TSan runtime has initialized -- crashing every binary that
-// links this TU.  The PRIME_SANITIZE builds take the plain loop.
-#if defined(__SANITIZE_THREAD__) || defined(__SANITIZE_ADDRESS__)
-#define PRIME_MVM_NO_CLONES 1
-#elif defined(__has_feature)
-#if __has_feature(thread_sanitizer) || __has_feature(address_sanitizer) || \
-    __has_feature(memory_sanitizer)
-#define PRIME_MVM_NO_CLONES 1
-#endif
-#endif
-
-#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__) && \
-    defined(__ELF__) && !defined(PRIME_MVM_NO_CLONES)
-#define PRIME_MVM_INT_CLONES \
-    __attribute__((target_clones("default", "avx2", "arch=x86-64-v4")))
-#define PRIME_MVM_FP_CLONES \
-    __attribute__((target_clones("default", "avx2")))
-#else
-#define PRIME_MVM_INT_CLONES
-#define PRIME_MVM_FP_CLONES
-#endif
+// Inner loops, SIMD-cloned per ISA (see reram/simd_clones.hh).
 
 /** acc[c] += in * levels[c] over one cached-plane row. */
 PRIME_MVM_INT_CLONES void

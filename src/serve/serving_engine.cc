@@ -21,6 +21,8 @@ constexpr std::chrono::microseconds kIdleNap{20};
 ServingEngine::ServingEngine(core::PrimeSystem &system,
                              const ServingOptions &options)
     : system_(system), options_(options),
+      inputCount_(static_cast<std::size_t>(
+          system.topology().layers.front().inputCount())),
       ingress_(std::max<std::size_t>(1, options.queueCapacity)),
       epoch_(std::chrono::steady_clock::now())
 {
@@ -43,6 +45,10 @@ ServingEngine::ServingEngine(core::PrimeSystem &system,
     stats_.formula("serving.rejected", [this] {
         return static_cast<double>(
             rejected_.load(std::memory_order_relaxed));
+    });
+    stats_.formula("serving.rejected.shape", [this] {
+        return static_cast<double>(
+            rejectedShape_.load(std::memory_order_relaxed));
     });
     stats_.formula("serving.completed", [this] {
         return static_cast<double>(
@@ -125,6 +131,11 @@ ServingEngine::stop()
 std::optional<std::uint64_t>
 ServingEngine::trySubmit(nn::Tensor input, CompletionFn on_complete)
 {
+    if (input.size() != inputCount_) {
+        rejectedShape_.fetch_add(1, std::memory_order_relaxed);
+        rejected_.fetch_add(1, std::memory_order_relaxed);
+        return std::nullopt;  // would trip tiledMvm's shape assert
+    }
     // The submit gate pairs with the scheduler's drain condition
     // (both seq_cst): a submitter that read stopping_ == false is
     // visible in pendingSubmits_ until its push completed, so the
@@ -319,6 +330,11 @@ ServingEngine::registerMetrics(telemetry::MetricsRegistry &registry)
             rejected_.load(std::memory_order_relaxed));
     });
     metricNames_.push_back("serving.rejected");
+    registry.counter("serving.rejected.shape", [this] {
+        return static_cast<double>(
+            rejectedShape_.load(std::memory_order_relaxed));
+    });
+    metricNames_.push_back("serving.rejected.shape");
     registry.counter("serving.completed", [this] {
         return static_cast<double>(
             completed_.load(std::memory_order_relaxed));

@@ -25,7 +25,9 @@
  *  - Admission control: trySubmit never blocks.  A full ingress ring
  *    (or an engine whose stop() began) rejects the request explicitly
  *    -- the caller sees false, serving.rejected counts it, and no
- *    callback ever fires for it.  Accepted requests are completed
+ *    callback ever fires for it.  So does a tensor whose element count
+ *    is not the mapped model's input size (also counted in
+ *    serving.rejected.shape): request data never reaches an assert.  Accepted requests are completed
  *    exactly once, even across stop() (the scheduler drains the ring
  *    and flushes its partial batch before exiting).
  *  - Batching policy: the scheduler opens a batch at the first popped
@@ -99,6 +101,7 @@ struct ServingOptions
 class ServingEngine
 {
   public:
+    /** @p system must already be mapped (mapTopology). */
     ServingEngine(core::PrimeSystem &system, const ServingOptions &options);
     ~ServingEngine();
 
@@ -121,8 +124,9 @@ class ServingEngine
     /**
      * Submit one request from any thread.  Returns the request id on
      * acceptance; std::nullopt when the engine shed it (ingress full
-     * or stop() underway) -- the admission-control contract, never
-     * blocking, no callback for shed requests.
+     * or stop() underway) or the tensor's element count does not
+     * match the model input -- the admission-control contract, never
+     * blocking, no callback for rejected requests.
      */
     std::optional<std::uint64_t> trySubmit(nn::Tensor input,
                                            CompletionFn on_complete);
@@ -156,6 +160,11 @@ class ServingEngine
     {
         return rejected_.load(std::memory_order_relaxed);
     }
+    /** Rejections for a tensor of the wrong element count. */
+    std::uint64_t rejectedShape() const
+    {
+        return rejectedShape_.load(std::memory_order_relaxed);
+    }
     std::uint64_t completed() const
     {
         return completed_.load(std::memory_order_relaxed);
@@ -183,6 +192,8 @@ class ServingEngine
 
     core::PrimeSystem &system_;
     ServingOptions options_;
+    /** Element count of the mapped model's input tensor. */
+    std::size_t inputCount_;
 
     MpscRing<Request> ingress_;
     /** Submitters mid-trySubmit; pairs with stopping_ (both seq_cst)
@@ -191,6 +202,7 @@ class ServingEngine
     std::atomic<std::uint64_t> nextId_{0};
     std::atomic<std::uint64_t> accepted_{0};
     std::atomic<std::uint64_t> rejected_{0};
+    std::atomic<std::uint64_t> rejectedShape_{0};
     std::atomic<std::uint64_t> completed_{0};
     std::atomic<std::uint64_t> batches_{0};
     /** Closed batches waiting for a dispatcher (gauge mirror). */

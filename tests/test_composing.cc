@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
+#include <string>
 #include <vector>
 
 #include "common/rng.hh"
@@ -203,6 +205,202 @@ TEST(ComposedMatrixEngine, ProgrammingVariationStaysClose)
                     static_cast<double>(ideal[c]),
                     std::max<double>(4.0,
                                      0.1 * std::abs(ideal[c]) + 4.0));
+}
+
+// ----------------------------------------------- fused exact MVM ---
+
+/** Column @p c of a row-major weight matrix. */
+std::vector<int>
+weightColumn(const std::vector<std::vector<int>> &w, int c)
+{
+    std::vector<int> col;
+    for (const std::vector<int> &row : w)
+        col.push_back(row[static_cast<std::size_t>(c)]);
+    return col;
+}
+
+/**
+ * The engine's signed plane is pos - neg stored level for every cell,
+ * and zero in the row padding past the 2*cols physical bitlines.
+ */
+void
+expectPlaneMatchesArrays(const ComposedMatrixEngine &engine)
+{
+    const Crossbar &pos = engine.arrays().positive();
+    const Crossbar &neg = engine.arrays().negative();
+    const std::span<const std::int8_t> plane = engine.signedPlane();
+    const int pitch = engine.planePitch();
+    ASSERT_EQ(plane.size(),
+              static_cast<std::size_t>(engine.rows()) * pitch);
+    for (int r = 0; r < engine.rows(); ++r)
+        for (int j = 0; j < pitch; ++j) {
+            const int expected =
+                j < 2 * engine.cols()
+                    ? pos.storedLevel(r, j) - neg.storedLevel(r, j)
+                    : 0;
+            ASSERT_EQ(plane[static_cast<std::size_t>(r) * pitch + j],
+                      expected)
+                << "row " << r << " bitline " << j;
+        }
+}
+
+/**
+ * mvmExact, mvmExactBatch and (ideal-device) mvmAnalog all equal the
+ * reference composedApproxShifted, column by column, for every input.
+ */
+void
+expectEngineMatchesReference(ComposedMatrixEngine &engine,
+                             const std::vector<std::vector<int>> &w,
+                             const std::vector<std::vector<int>> &inputs,
+                             int shift)
+{
+    engine.setOutputShift(shift);
+    const auto batch = engine.mvmExactBatch(inputs);
+    ASSERT_EQ(batch.size(), inputs.size());
+    for (std::size_t i = 0; i < inputs.size(); ++i) {
+        const auto single = engine.mvmExact(inputs[i]);
+        const auto analog = engine.mvmAnalog(inputs[i]);
+        ASSERT_EQ(single.size(), static_cast<std::size_t>(engine.cols()));
+        for (int c = 0; c < engine.cols(); ++c) {
+            const std::int64_t expected = composedApproxShifted(
+                inputs[i], weightColumn(w, c), engine.composing(), shift);
+            ASSERT_EQ(single[c], expected)
+                << "shift " << shift << " input " << i << " col " << c;
+            ASSERT_EQ(batch[i][c], expected)
+                << "shift " << shift << " input " << i << " col " << c;
+            ASSERT_EQ(analog[c], expected)
+                << "shift " << shift << " input " << i << " col " << c;
+        }
+    }
+}
+
+/** Random vectors plus the all-0 and all-max input corners. */
+std::vector<std::vector<int>>
+fusedInputs(int rows, int max_code, Rng &rng)
+{
+    std::vector<std::vector<int>> inputs;
+    for (int k = 0; k < 3; ++k) {
+        std::vector<int> in(static_cast<std::size_t>(rows));
+        for (int &v : in)
+            v = static_cast<int>(rng.uniformInt(0, max_code));
+        inputs.push_back(std::move(in));
+    }
+    inputs.emplace_back(static_cast<std::size_t>(rows), 0);
+    inputs.emplace_back(static_cast<std::size_t>(rows), max_code);
+    return inputs;
+}
+
+/**
+ * Random weights in [-max, max], or the extremes: +max on even columns
+ * and -max on odd ones, so an all-max input drives every column's sums
+ * to their bound in both signs (an int16 chunk overflow would show).
+ */
+std::vector<std::vector<int>>
+fusedWeights(int rows, int cols, int max_weight, bool extremes, Rng &rng)
+{
+    std::vector<std::vector<int>> w(static_cast<std::size_t>(rows),
+                                    std::vector<int>(
+                                        static_cast<std::size_t>(cols)));
+    for (auto &row : w)
+        for (int c = 0; c < cols; ++c)
+            row[static_cast<std::size_t>(c)] =
+                extremes ? (c % 2 == 0 ? max_weight : -max_weight)
+                         : static_cast<int>(
+                               rng.uniformInt(-max_weight, max_weight));
+    return w;
+}
+
+struct FusedShape
+{
+    int rows, cols;
+};
+
+class FusedExactMvm : public ::testing::TestWithParam<FusedShape>
+{
+};
+
+TEST_P(FusedExactMvm, BitExactAgainstComposedApproxShifted)
+{
+    const FusedShape shape = GetParam();
+    const ComposingParams cp;
+    const CrossbarParams xp;
+    Rng rng(static_cast<std::uint64_t>(shape.rows) * 1000 + shape.cols);
+    const std::vector<std::vector<int>> inputs =
+        fusedInputs(shape.rows, 63, rng);
+
+    for (bool extremes : {false, true}) {
+        SCOPED_TRACE(extremes ? "weights at +-255" : "random weights");
+        const std::vector<std::vector<int>> w =
+            fusedWeights(shape.rows, shape.cols, 255, extremes, rng);
+        ComposedMatrixEngine engine(shape.rows, shape.cols, cp, xp);
+        const int default_shift = engine.outputShift();
+        engine.programWeights(w);
+        expectPlaneMatchesArrays(engine);
+
+        engine.calibrateOutputShift();
+        const int calibrated_shift = engine.outputShift();
+        // Shift 2 puts the HH, HL and LH windows below one level unit:
+        // composedAssemble's digital up-shift branch.
+        for (int shift : {default_shift, calibrated_shift, 2})
+            expectEngineMatchesReference(engine, w, inputs, shift);
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, FusedExactMvm,
+    ::testing::Values(FusedShape{1, 1}, FusedShape{25, 5},
+                      FusedShape{70, 10}, FusedShape{208, 70},
+                      FusedShape{256, 70}, FusedShape{64, 256},
+                      FusedShape{256, 256},
+                      // Taller than the default int16 chunk bound (312):
+                      // several chunks widened into one result.
+                      FusedShape{1024, 8}),
+    [](const ::testing::TestParamInfo<FusedShape> &info) {
+        return std::to_string(info.param.rows) + "x" +
+               std::to_string(info.param.cols);
+    });
+
+TEST(FusedExactMvm, ChunkBoundFollowsComposingParams)
+{
+    const ComposingParams defaults;
+    EXPECT_EQ(defaults.narrowChunkRows(), 32767 / (7 * 15));
+    EXPECT_LT(defaults.narrowChunkRows(), 1024);
+
+    // Wider phases and cells shrink the chunk; the engine must still
+    // match the reference across several chunks.
+    ComposingParams wide;
+    wide.inputBits = 8;
+    wide.inputPhaseBits = 4;
+    wide.outputBits = 8;
+    ASSERT_TRUE(wide.consistent());
+    EXPECT_EQ(wide.narrowChunkRows(), 32767 / (15 * 15));
+    const int rows = 2 * wide.narrowChunkRows() + 3;
+    const int cols = 9;
+    Rng rng(31);
+    const std::vector<std::vector<int>> inputs = fusedInputs(rows, 255, rng);
+    for (bool extremes : {false, true}) {
+        const std::vector<std::vector<int>> w =
+            fusedWeights(rows, cols, 255, extremes, rng);
+        ComposedMatrixEngine engine(rows, cols, wide, CrossbarParams{});
+        engine.programWeights(w);
+        expectPlaneMatchesArrays(engine);
+        expectEngineMatchesReference(engine, w, inputs,
+                                     engine.outputShift());
+    }
+}
+
+TEST(FusedExactMvmDeathTest, OutOfRangeInputStillAborts)
+{
+    const ComposingParams cp;
+    ComposedMatrixEngine engine(8, 4, cp, CrossbarParams{});
+    engine.programWeights(std::vector<std::vector<int>>(
+        8, std::vector<int>(4, 100)));
+    std::vector<int> in(8, 5);
+    in[3] = 64;  // one past the 6-bit input range
+    EXPECT_DEATH(engine.mvmExact(in), "out of range at row 3");
+    EXPECT_DEATH(engine.mvmExactBatch({in}), "out of range at row 3");
+    in[3] = -1;
+    EXPECT_DEATH(engine.mvmExact(in), "out of range at row 3");
 }
 
 /** Bit-width sweep: the error bound holds for other configurations. */

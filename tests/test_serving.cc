@@ -345,6 +345,60 @@ TEST(ServingEngine, CoalescesQueuedRequestsUpToMaxBatch)
               kRequests);
 }
 
+TEST(ServingEngine, RejectsWrongSizeTensorsAndKeepsServing)
+{
+    // Regression: a tensor whose element count is not the model input
+    // (64) used to be admitted and then abort the process inside
+    // tiledMvm's shape assert.
+    core::PrimeSystem prime(tinyBankParams());
+    programTiny(prime);
+    const std::vector<nn::Tensor> &inputs = servingSetup().inputs;
+    const nn::Tensor expected0 = prime.run(inputs[0]);
+
+    ServingOptions sopt;
+    sopt.queueCapacity = 64;
+    ServingEngine engine(prime, sopt);
+    telemetry::MetricsRegistry registry;
+    registry.enable();
+    engine.registerMetrics(registry);
+    Collector collector;
+    engine.start();
+
+    const nn::Tensor malformed({16});
+    const nn::Tensor empty;
+    const nn::Tensor oversized({2, 8, 8});
+    ASSERT_TRUE(engine.trySubmit(inputs[0], collector.sink()).has_value());
+    for (const nn::Tensor *bad : {&malformed, &empty, &oversized})
+        EXPECT_FALSE(engine.trySubmit(*bad, collector.sink()).has_value())
+            << "size " << bad->size();
+    ASSERT_TRUE(engine.trySubmit(inputs[1], collector.sink()).has_value());
+    engine.stop();
+
+    EXPECT_EQ(engine.accepted(), 2u);
+    EXPECT_EQ(engine.rejected(), 3u);
+    EXPECT_EQ(engine.rejectedShape(), 3u);
+    EXPECT_EQ(engine.completed(), 2u);
+    ASSERT_EQ(collector.responses.size(), 2u);
+    const nn::Tensor &got = collector.responses.begin()->second.output;
+    ASSERT_EQ(got.size(), expected0.size());
+    for (std::size_t k = 0; k < got.size(); ++k)
+        EXPECT_EQ(got[k], expected0[k]) << "element " << k;
+
+    double shape_rejects = -1.0;
+    ASSERT_TRUE(engine.stats().evalFormula("serving.rejected.shape",
+                                           shape_rejects));
+    EXPECT_EQ(shape_rejects, 3.0);
+    ASSERT_TRUE(registry.sampleOnce());
+    bool saw_shape = false;
+    for (const auto &series : registry.summarize())
+        if (series.name == "serving.rejected.shape") {
+            saw_shape = true;
+            EXPECT_EQ(series.last, 3.0);
+        }
+    EXPECT_TRUE(saw_shape);
+    engine.unregisterMetrics(registry);
+}
+
 TEST(ServingEngine, ServedOutputsBitIdenticalAcrossDispatchThreads)
 {
     core::PrimeSystem prime(tinyBankParams());

@@ -79,6 +79,7 @@ Exit status: 0 clean, 1 findings, 2 usage/environment error.
 from __future__ import annotations
 
 import argparse
+import concurrent.futures
 import dataclasses
 import json
 import os
@@ -630,33 +631,42 @@ def check_mem_shard_stats(repo: Repo) -> Iterator[Finding]:
 # --------------------------------------------------------------------------
 
 
+def check_header(root: str, compiler: str, tmp: str,
+                 path: str) -> Finding | None:
+    """Compile one header as its own TU; a Finding if it fails."""
+    rel = os.path.relpath(path, os.path.join(root, "src"))
+    tu = os.path.join(tmp, rel.replace(os.sep, "__") + ".cc")
+    with open(tu, "w", encoding="utf-8") as f:
+        f.write(f'#include "{rel}"\n')
+    proc = subprocess.run(
+        [compiler, "-std=c++20", "-fsyntax-only",
+         "-I", os.path.join(root, "src"), "-Wall", "-Wextra", tu],
+        capture_output=True, text=True)
+    if proc.returncode == 0:
+        return None
+    first = next(
+        (ln for ln in proc.stderr.splitlines() if "error" in ln),
+        proc.stderr.strip().splitlines()[0]
+        if proc.stderr.strip() else "unknown error")
+    return Finding(os.path.relpath(path, root), 1, "headers",
+                   f"not self-contained: {first}")
+
+
 def check_headers(root: str, compiler: str) -> list[Finding]:
-    findings: list[Finding] = []
+    """Compile every src/ header standalone, os.cpu_count() at a time;
+    findings come back in header path order."""
     headers: list[str] = []
     for dirpath, _dirnames, filenames in os.walk(os.path.join(root, "src")):
-        for name in sorted(filenames):
+        for name in filenames:
             if name.endswith(".hh"):
                 headers.append(os.path.join(dirpath, name))
-    with tempfile.TemporaryDirectory() as tmp:
-        tu = os.path.join(tmp, "tu.cc")
-        for path in sorted(headers):
-            rel = os.path.relpath(path, os.path.join(root, "src"))
-            with open(tu, "w", encoding="utf-8") as f:
-                f.write(f'#include "{rel}"\n')
-            proc = subprocess.run(
-                [compiler, "-std=c++20", "-fsyntax-only",
-                 "-I", os.path.join(root, "src"), "-Wall", "-Wextra", tu],
-                capture_output=True, text=True)
-            if proc.returncode != 0:
-                first = next(
-                    (ln for ln in proc.stderr.splitlines()
-                     if "error" in ln),
-                    proc.stderr.strip().splitlines()[0]
-                    if proc.stderr.strip() else "unknown error")
-                findings.append(Finding(
-                    os.path.relpath(path, root), 1, "headers",
-                    f"not self-contained: {first}"))
-    return findings
+    with tempfile.TemporaryDirectory() as tmp, \
+            concurrent.futures.ThreadPoolExecutor(
+                max_workers=os.cpu_count() or 1) as pool:
+        results = pool.map(
+            lambda path: check_header(root, compiler, tmp, path),
+            sorted(headers))
+        return [f for f in results if f is not None]
 
 
 # --------------------------------------------------------------------------
