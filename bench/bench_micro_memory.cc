@@ -1,9 +1,10 @@
 /**
  * @file
  * Google-benchmark microbenchmarks of the memory substrate and the
- * PRIME controller path: request scheduling, address decode, the event
- * queue, and Table I command round trips.  Also reports the modeled
- * Buffer-subarray bypass latency delta (a Section III-A design note).
+ * PRIME controller path: request scheduling, address decode, the
+ * functional backing store, the event queue, and Table I command round
+ * trips.  Also reports the modeled Buffer-subarray bypass latency delta
+ * (a Section III-A design note).
  */
 
 #include <benchmark/benchmark.h>
@@ -67,6 +68,29 @@ BM_FrFcfsBatch(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * n);
 }
 BENCHMARK(BM_FrFcfsBatch)->Arg(64)->Arg(512);
+
+/**
+ * Host cost of the functional backing store: one writeData + readData
+ * round trip at the run-time input staging window (capacity / 2), for
+ * a CNN-1 Fetch (25 B), one Commit (512 B) and a morph migration
+ * (64 KiB).
+ */
+void
+BM_FunctionalStore(benchmark::State &state)
+{
+    memory::MainMemory mem(nvmodel::defaultTechParams());
+    const std::uint64_t addr = mem.mapper().capacityBytes() / 2;
+    std::vector<std::uint8_t> data(static_cast<std::size_t>(state.range(0)));
+    for (std::size_t i = 0; i < data.size(); ++i)
+        data[i] = static_cast<std::uint8_t>(i * 13 + 1);
+    for (auto _ : state) {
+        mem.writeData(addr, data);
+        benchmark::DoNotOptimize(mem.readData(addr, data.size()));
+        benchmark::ClobberMemory();
+    }
+    state.SetBytesProcessed(state.iterations() * 2 * state.range(0));
+}
+BENCHMARK(BM_FunctionalStore)->Arg(25)->Arg(512)->Arg(64 << 10);
 
 void
 BM_EventQueue(benchmark::State &state)

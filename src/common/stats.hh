@@ -215,6 +215,52 @@ class StatGroup
 };
 
 /**
+ * One stat of a group, looked up by name on first use and cached
+ * after: a per-command hot path bumps it without building a string and
+ * walking the group's map per event, while the stat still enters the
+ * group exactly when the uncached get() would have created it (so the
+ * published names do not change).  Without a group every bump is a
+ * no-op.  Same single-writer contract as Stat.
+ */
+class LazyStat
+{
+  public:
+    LazyStat(StatGroup *group, const char *name)
+        : group_(group), name_(name)
+    {
+    }
+
+    /** Stat::add on the stat. */
+    void
+    add(double value)
+    {
+        if (Stat *s = resolve())
+            s->add(value);
+    }
+
+    /** Stat::increment on the stat. */
+    void
+    increment(std::uint64_t n = 1)
+    {
+        if (Stat *s = resolve())
+            s->increment(n);
+    }
+
+  private:
+    Stat *
+    resolve()
+    {
+        if (!stat_ && group_)
+            stat_ = &group_->get(name_);
+        return stat_;
+    }
+
+    StatGroup *group_;
+    const char *name_;
+    Stat *stat_ = nullptr;
+};
+
+/**
  * Serialize several independent groups into one versioned document:
  * {"version":1,"stats":{"<name>":{...},...}}.  Used where a system is
  * built from parts owning their own groups (PrimeSystem + MainMemory).

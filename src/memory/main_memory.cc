@@ -180,19 +180,23 @@ MainMemory::writeData(std::uint64_t addr,
                       const std::vector<std::uint8_t> &data)
 {
     PRIME_SPAN(telemetry::globalTrace(), "mem.write_data", "memory");
-    // Walk the range one 64B line at a time, locking that line's store
-    // stripe: disjoint transfers (the pipeline stages' staging windows)
-    // land on different stripes and proceed in parallel.
+    // Walk the range one page at a time, locking that page's store
+    // stripe once per span: disjoint transfers (the pipeline stages'
+    // staging windows) on different stripes proceed in parallel.
     std::size_t i = 0;
     while (i < data.size()) {
-        const std::uint64_t line_end = ((addr + i) | 63) + 1;
-        const std::size_t end = std::min<std::size_t>(
-            data.size(), i + static_cast<std::size_t>(
-                                 line_end - (addr + i)));
-        StoreStripe &stripe = store_[storeStripe(addr + i)];
+        const std::uint64_t at = addr + i;
+        const std::size_t offset = static_cast<std::size_t>(at % kPageBytes);
+        const std::size_t span =
+            std::min(data.size() - i, kPageBytes - offset);
+        StoreStripe &stripe = store_[storeStripe(at)];
         MutexLock lock(stripe.mutex);
-        for (; i < end; ++i)
-            stripe.bytes[addr + i] = data[i];
+        std::unique_ptr<Page> &page = stripe.pages[at / kPageBytes];
+        if (!page)
+            page = std::make_unique<Page>();  // value-init: zero-filled
+        std::copy_n(data.begin() + static_cast<std::ptrdiff_t>(i), span,
+                    page->begin() + offset);
+        i += span;
     }
 }
 
@@ -203,16 +207,16 @@ MainMemory::readData(std::uint64_t addr, std::size_t size) const
     std::vector<std::uint8_t> out(size, 0);
     std::size_t i = 0;
     while (i < size) {
-        const std::uint64_t line_end = ((addr + i) | 63) + 1;
-        const std::size_t end = std::min<std::size_t>(
-            size, i + static_cast<std::size_t>(line_end - (addr + i)));
-        const StoreStripe &stripe = store_[storeStripe(addr + i)];
+        const std::uint64_t at = addr + i;
+        const std::size_t offset = static_cast<std::size_t>(at % kPageBytes);
+        const std::size_t span = std::min(size - i, kPageBytes - offset);
+        const StoreStripe &stripe = store_[storeStripe(at)];
         MutexLock lock(stripe.mutex);
-        for (; i < end; ++i) {
-            auto it = stripe.bytes.find(addr + i);
-            if (it != stripe.bytes.end())
-                out[i] = it->second;
-        }
+        auto it = stripe.pages.find(at / kPageBytes);
+        if (it != stripe.pages.end())
+            std::copy_n(it->second->begin() + offset, span,
+                        out.begin() + static_cast<std::ptrdiff_t>(i));
+        i += span;
     }
     return out;
 }

@@ -33,8 +33,8 @@ namespace prime::memory {
 /**
  * The full main-memory model.  Timed accesses move the module's notion
  * of bank/channel availability forward; functional reads/writes touch
- * the sparse backing store (so PRIME's mode-morphing data migration can
- * be checked end to end).
+ * the sparse paged backing store (so PRIME's mode-morphing data
+ * migration can be checked end to end).
  *
  * Organization: one MemoryController per geometry.channels, each owning
  * its channel's data-bus cursor and bank shards; MainMemory decodes
@@ -45,9 +45,10 @@ namespace prime::memory {
  * Thread safety -- the lock domains live in MemoryController (see
  * controller.hh): per-bank shard mutexes for timing + stat state, one
  * atomic reservation cursor per channel.  MainMemory itself adds only
- * the functional backing store, striped 64-byte-line-wise over a small
- * mutex array so reads/writes at disjoint addresses proceed in parallel
- * and never contend with the timing path.  Functional reads/writes at
+ * the functional backing store: 4 KiB pages, allocated zero-filled on
+ * their first write and striped page-wise over a small mutex array, so
+ * reads/writes at disjoint addresses proceed in parallel and never
+ * contend with the timing path.  Functional reads/writes at
  * disjoint addresses are order-independent; the *timing* state
  * interleaves in arrival order, so latency stats under concurrency are
  * schedule-dependent (functional results stay deterministic).  stats()
@@ -176,13 +177,15 @@ class MainMemory
     void unregisterMetrics(telemetry::MetricsRegistry &registry) const;
 
   private:
-    /** Store stripes: 64B lines spread over this many mutexes. */
+    /** Bytes per backing-store page. */
+    static constexpr std::size_t kPageBytes = 4096;
+    /** Store stripes: pages spread over this many mutexes. */
     static constexpr std::size_t kStoreStripes = 16;
 
-    /** Store stripe covering the 64B line of @p addr. */
-    std::size_t storeStripe(std::uint64_t addr) const
+    /** Store stripe covering the page of @p addr. */
+    static std::size_t storeStripe(std::uint64_t addr)
     {
-        return (addr >> 6) % kStoreStripes;
+        return (addr / kPageBytes) % kStoreStripes;
     }
 
     /** Fold the controllers' shards into stats_ (absolute, idempotent). */
@@ -194,11 +197,16 @@ class MainMemory
     /** One controller per channel (pinned: they own mutexes). */
     std::vector<std::unique_ptr<MemoryController>> controllers_;
 
-    /** Functional backing store, striped by 64B line. */
+    /**
+     * Functional backing store, striped by page: page index -> page.
+     * Sparse, so huge-capacity geometries cost only what is written;
+     * an absent page reads as zeros.
+     */
+    using Page = std::array<std::uint8_t, kPageBytes>;
     struct StoreStripe
     {
         alignas(64) mutable Mutex mutex;
-        std::unordered_map<std::uint64_t, std::uint8_t> bytes
+        std::unordered_map<std::uint64_t, std::unique_ptr<Page>> pages
             PRIME_GUARDED_BY(mutex);
     };
     mutable std::array<StoreStripe, kStoreStripes> store_;

@@ -9,7 +9,8 @@ namespace prime::core {
 
 BufferSubarray::BufferSubarray(const nvmodel::TechParams &tech,
                                StatGroup *stats)
-    : stats_(stats)
+    : readBytesStat_(stats, "buffer.read_bytes"),
+      writeBytesStat_(stats, "buffer.write_bytes")
 {
     const nvmodel::Geometry &g = tech.geometry;
     const std::size_t bytes_per_mat = static_cast<std::size_t>(g.matRows) *
@@ -27,9 +28,7 @@ BufferSubarray::write(std::size_t addr,
                  " > ", data_.size());
     std::copy(bytes.begin(), bytes.end(), data_.begin() + addr);
     traffic_ += bytes.size();
-    if (stats_)
-        stats_->get("buffer.write_bytes").add(
-            static_cast<double>(bytes.size()));
+    writeBytesStat_.add(static_cast<double>(bytes.size()));
 }
 
 std::vector<std::uint8_t>
@@ -39,8 +38,7 @@ BufferSubarray::read(std::size_t addr, std::size_t size) const
     PRIME_ASSERT(addr + size <= data_.size(),
                  "buffer read out of range: ", addr, "+", size);
     traffic_ += size;
-    if (stats_)
-        stats_->get("buffer.read_bytes").add(static_cast<double>(size));
+    readBytesStat_.add(static_cast<double>(size));
     return std::vector<std::uint8_t>(data_.begin() + addr,
                                      data_.begin() + addr + size);
 }

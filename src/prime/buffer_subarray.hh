@@ -45,7 +45,9 @@ class BufferSubarray
 
   private:
     std::vector<std::uint8_t> data_;
-    StatGroup *stats_;
+    /** buffer.read_bytes / buffer.write_bytes, resolved once. */
+    mutable LazyStat readBytesStat_;
+    LazyStat writeBytesStat_;
     mutable std::uint64_t traffic_ = 0;
 };
 

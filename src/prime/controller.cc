@@ -11,7 +11,13 @@ PrimeController::PrimeController(const nvmodel::TechParams &tech,
                                  std::vector<FfSubarray> *ff_subarrays,
                                  BufferSubarray *buffer, StatGroup *stats)
     : tech_(tech), mem_(mem), ff_(ff_subarrays), buffer_(buffer),
-      stats_(stats)
+      commandsStat_(stats, "controller.commands"),
+      cfgFunctionStat_(stats, "controller.cfg_function"),
+      fetchBytesStat_(stats, "controller.fetch_bytes"),
+      commitBytesStat_(stats, "controller.commit_bytes"),
+      loadBytesStat_(stats, "controller.load_bytes"),
+      storeBytesStat_(stats, "controller.store_bytes"),
+      matMvmsStat_(stats, "controller.mat_mvms")
 {
     PRIME_ASSERT(mem_ && ff_ && buffer_, "controller wiring incomplete");
     const std::size_t mats = static_cast<std::size_t>(ff_->size()) *
@@ -37,16 +43,14 @@ PrimeController::execute(const mapping::Command &command)
     PRIME_SPAN(telemetry::globalTrace(), mapping::commandOpName(command.op),
                "controller");
     ++commands_;
-    if (stats_)
-        stats_->get("controller.commands").increment();
+    commandsStat_.increment();
 
     switch (command.op) {
       case CommandOp::SetMatFunction: {
         // prog/comp/mem function selection. Programming and morphing move
         // actual cell contents via PrimeSystem; the controller records
         // the datapath selection.
-        if (stats_)
-            stats_->get("controller.cfg_function").increment();
+        cfgFunctionStat_.increment();
         break;
       }
       case CommandOp::BypassSigmoid:
@@ -71,8 +75,7 @@ PrimeController::execute(const mapping::Command &command)
         std::vector<std::uint8_t> data =
             mem_->readData(command.src, command.bytes);
         buffer_->write(static_cast<std::size_t>(command.dst), data);
-        if (stats_)
-            stats_->get("controller.fetch_bytes").add(command.bytes);
+        fetchBytesStat_.add(command.bytes);
         break;
       }
       case CommandOp::Commit: {
@@ -81,8 +84,7 @@ PrimeController::execute(const mapping::Command &command)
         mem_->scheduleBytes(command.dst, data.size(), true,
                             memory::RequestSource::Prime);
         mem_->writeData(command.dst, data);
-        if (stats_)
-            stats_->get("controller.commit_bytes").add(command.bytes);
+        commitBytesStat_.add(command.bytes);
         break;
       }
       case CommandOp::Load: {
@@ -98,8 +100,7 @@ PrimeController::execute(const mapping::Command &command)
         if (latch.size() < offset + command.bytes)
             latch.resize(offset + command.bytes, 0);
         std::copy(data.begin(), data.end(), latch.begin() + offset);
-        if (stats_)
-            stats_->get("controller.load_bytes").add(command.bytes);
+        loadBytesStat_.add(command.bytes);
         break;
       }
       case CommandOp::Store: {
@@ -114,9 +115,7 @@ PrimeController::execute(const mapping::Command &command)
             data[2 * i + 1] = static_cast<std::uint8_t>((v >> 8) & 0xff);
         }
         buffer_->write(static_cast<std::size_t>(command.dst), data);
-        if (stats_)
-            stats_->get("controller.store_bytes").add(
-                static_cast<double>(data.size()));
+        storeBytesStat_.add(static_cast<double>(data.size()));
         break;
       }
     }
@@ -157,8 +156,7 @@ void
 PrimeController::computeMat(int global_mat)
 {
     computeMatImpl(global_mat);
-    if (stats_)
-        stats_->get("controller.mat_mvms").increment();
+    matMvmsStat_.increment();
 }
 
 void
@@ -179,8 +177,7 @@ PrimeController::computeMats(const std::vector<int> &global_mats)
                 computeMatImpl(global_mats[i]);
             });
     }
-    if (stats_)
-        stats_->get("controller.mat_mvms").increment(global_mats.size());
+    matMvmsStat_.increment(global_mats.size());
 }
 
 const std::vector<std::uint8_t> &

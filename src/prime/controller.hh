@@ -98,7 +98,14 @@ class PrimeController
     memory::MainMemory *mem_;
     std::vector<FfSubarray> *ff_;
     BufferSubarray *buffer_;
-    StatGroup *stats_;
+    /** Command-path stats, resolved once instead of per command. */
+    LazyStat commandsStat_;
+    LazyStat cfgFunctionStat_;
+    LazyStat fetchBytesStat_;
+    LazyStat commitBytesStat_;
+    LazyStat loadBytesStat_;
+    LazyStat storeBytesStat_;
+    LazyStat matMvmsStat_;
     bool analog_ = false;
     Rng *noiseRng_ = nullptr;
     std::uint64_t commands_ = 0;

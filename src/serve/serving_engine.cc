@@ -43,12 +43,19 @@ ServingEngine::ServingEngine(core::PrimeSystem &system,
             accepted_.load(std::memory_order_relaxed));
     });
     stats_.formula("serving.rejected", [this] {
-        return static_cast<double>(
-            rejected_.load(std::memory_order_relaxed));
+        return static_cast<double>(rejected());
     });
     stats_.formula("serving.rejected.shape", [this] {
         return static_cast<double>(
             rejectedShape_.load(std::memory_order_relaxed));
+    });
+    stats_.formula("serving.rejected.full", [this] {
+        return static_cast<double>(
+            rejectedFull_.load(std::memory_order_relaxed));
+    });
+    stats_.formula("serving.rejected.stopping", [this] {
+        return static_cast<double>(
+            rejectedStopping_.load(std::memory_order_relaxed));
     });
     stats_.formula("serving.completed", [this] {
         return static_cast<double>(
@@ -61,8 +68,7 @@ ServingEngine::ServingEngine(core::PrimeSystem &system,
     stats_.formula("serving.shed_rate", [this] {
         const double a = static_cast<double>(
             accepted_.load(std::memory_order_relaxed));
-        const double r = static_cast<double>(
-            rejected_.load(std::memory_order_relaxed));
+        const double r = static_cast<double>(rejected());
         return a + r > 0.0 ? r / (a + r) : 0.0;
     });
 }
@@ -133,7 +139,6 @@ ServingEngine::trySubmit(nn::Tensor input, CompletionFn on_complete)
 {
     if (input.size() != inputCount_) {
         rejectedShape_.fetch_add(1, std::memory_order_relaxed);
-        rejected_.fetch_add(1, std::memory_order_relaxed);
         return std::nullopt;  // would trip tiledMvm's shape assert
     }
     // The submit gate pairs with the scheduler's drain condition
@@ -144,8 +149,8 @@ ServingEngine::trySubmit(nn::Tensor input, CompletionFn on_complete)
     pendingSubmits_.fetch_add(1, std::memory_order_seq_cst);
     if (stopping_.load(std::memory_order_seq_cst)) {
         pendingSubmits_.fetch_sub(1, std::memory_order_seq_cst);
-        rejected_.fetch_add(1, std::memory_order_relaxed);
-        return std::nullopt;
+        rejectedStopping_.fetch_add(1, std::memory_order_relaxed);
+        return std::nullopt;  // admission closed
     }
     Request request;
     request.id = nextId_.fetch_add(1, std::memory_order_relaxed);
@@ -156,7 +161,7 @@ ServingEngine::trySubmit(nn::Tensor input, CompletionFn on_complete)
     const bool pushed = ingress_.tryPush(std::move(request));
     pendingSubmits_.fetch_sub(1, std::memory_order_seq_cst);
     if (!pushed) {
-        rejected_.fetch_add(1, std::memory_order_relaxed);
+        rejectedFull_.fetch_add(1, std::memory_order_relaxed);
         return std::nullopt;  // ingress full: load explicitly shed
     }
     accepted_.fetch_add(1, std::memory_order_relaxed);
@@ -326,8 +331,7 @@ ServingEngine::registerMetrics(telemetry::MetricsRegistry &registry)
     });
     metricNames_.push_back("serving.accepted");
     registry.counter("serving.rejected", [this] {
-        return static_cast<double>(
-            rejected_.load(std::memory_order_relaxed));
+        return static_cast<double>(rejected());
     });
     metricNames_.push_back("serving.rejected");
     registry.counter("serving.rejected.shape", [this] {
@@ -335,6 +339,16 @@ ServingEngine::registerMetrics(telemetry::MetricsRegistry &registry)
             rejectedShape_.load(std::memory_order_relaxed));
     });
     metricNames_.push_back("serving.rejected.shape");
+    registry.counter("serving.rejected.full", [this] {
+        return static_cast<double>(
+            rejectedFull_.load(std::memory_order_relaxed));
+    });
+    metricNames_.push_back("serving.rejected.full");
+    registry.counter("serving.rejected.stopping", [this] {
+        return static_cast<double>(
+            rejectedStopping_.load(std::memory_order_relaxed));
+    });
+    metricNames_.push_back("serving.rejected.stopping");
     registry.counter("serving.completed", [this] {
         return static_cast<double>(
             completed_.load(std::memory_order_relaxed));

@@ -26,10 +26,12 @@
  *    (or an engine whose stop() began) rejects the request explicitly
  *    -- the caller sees false, serving.rejected counts it, and no
  *    callback ever fires for it.  So does a tensor whose element count
- *    is not the mapped model's input size (also counted in
- *    serving.rejected.shape): request data never reaches an assert.  Accepted requests are completed
- *    exactly once, even across stop() (the scheduler drains the ring
- *    and flushes its partial batch before exiting).
+ *    is not the mapped model's input size: request data never reaches
+ *    an assert.  Each reason also has its own counter
+ *    (serving.rejected.full / .stopping / .shape; the three sum to
+ *    serving.rejected).  Accepted requests are completed exactly
+ *    once, even across stop() (the scheduler drains the ring and
+ *    flushes its partial batch before exiting).
  *  - Batching policy: the scheduler opens a batch at the first popped
  *    request and closes it after maxBatch requests or batchWindowUs
  *    microseconds, whichever comes first -- the latency budget bounds
@@ -47,15 +49,16 @@
  *    several models means several engines over several systems.
  *  - Threading: trySubmit from any thread; start/stop/stats from one
  *    controlling thread (stats() reads are stable only after stop()).
- *    Submissions racing stop() may be rejected; callers must not
- *    submit after stop() returns.
+ *    Submissions racing stop() may be rejected, and every submission
+ *    after stop() returned is (serving.rejected.stopping) until the
+ *    next start().
  *
  * Telemetry: per-request end-to-end and queue-wait latency land in
  * telemetry::Histogram stats (p50/p95/p99), batch sizes in a third;
- * serving.accepted/rejected/completed/batches surface both as stat
- * formulas and as MetricsRegistry counters, and registerMetrics adds
- * live gauges for ingress queue depth, batches waiting for a
- * dispatcher and batches in flight.
+ * serving.accepted/rejected(.full/.stopping/.shape)/completed/batches
+ * surface both as stat formulas and as MetricsRegistry counters, and
+ * registerMetrics adds live gauges for ingress queue depth, batches
+ * waiting for a dispatcher and batches in flight.
  */
 
 #ifndef PRIME_SERVE_SERVING_ENGINE_HH
@@ -123,10 +126,12 @@ class ServingEngine
 
     /**
      * Submit one request from any thread.  Returns the request id on
-     * acceptance; std::nullopt when the engine shed it (ingress full
-     * or stop() underway) or the tensor's element count does not
-     * match the model input -- the admission-control contract, never
-     * blocking, no callback for rejected requests.
+     * acceptance; std::nullopt when the engine shed it (ingress full:
+     * serving.rejected.full, or stop() underway:
+     * serving.rejected.stopping) or the tensor's element count does
+     * not match the model input (serving.rejected.shape) -- the
+     * admission-control contract, never blocking, no callback for
+     * rejected requests.  serving.rejected is the sum of the three.
      */
     std::optional<std::uint64_t> trySubmit(nn::Tensor input,
                                            CompletionFn on_complete);
@@ -156,14 +161,25 @@ class ServingEngine
     {
         return accepted_.load(std::memory_order_relaxed);
     }
+    /** All rejections: the sum of the three reasons below. */
     std::uint64_t rejected() const
     {
-        return rejected_.load(std::memory_order_relaxed);
+        return rejectedShape() + rejectedFull() + rejectedStopping();
     }
     /** Rejections for a tensor of the wrong element count. */
     std::uint64_t rejectedShape() const
     {
         return rejectedShape_.load(std::memory_order_relaxed);
+    }
+    /** Rejections because the ingress ring was full (load shed). */
+    std::uint64_t rejectedFull() const
+    {
+        return rejectedFull_.load(std::memory_order_relaxed);
+    }
+    /** Rejections because admission was closed (stop() began). */
+    std::uint64_t rejectedStopping() const
+    {
+        return rejectedStopping_.load(std::memory_order_relaxed);
     }
     std::uint64_t completed() const
     {
@@ -201,8 +217,9 @@ class ServingEngine
     std::atomic<std::uint64_t> pendingSubmits_{0};
     std::atomic<std::uint64_t> nextId_{0};
     std::atomic<std::uint64_t> accepted_{0};
-    std::atomic<std::uint64_t> rejected_{0};
     std::atomic<std::uint64_t> rejectedShape_{0};
+    std::atomic<std::uint64_t> rejectedFull_{0};
+    std::atomic<std::uint64_t> rejectedStopping_{0};
     std::atomic<std::uint64_t> completed_{0};
     std::atomic<std::uint64_t> batches_{0};
     /** Closed batches waiting for a dispatcher (gauge mirror). */

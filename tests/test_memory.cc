@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <string>
 #include <thread>
@@ -188,6 +189,86 @@ TEST(MainMemory, FunctionalStoreRoundTrip)
     // Unwritten bytes read as zero.
     EXPECT_EQ(mem.readData(999999, 2),
               (std::vector<std::uint8_t>{0, 0}));
+
+    // A span straddling a page boundary (offsets 4094..4098 of the
+    // page at 8192), read back whole and from each side.
+    const std::vector<std::uint8_t> straddle = {11, 12, 13, 14, 15};
+    mem.writeData(8192 + 4094, straddle);
+    EXPECT_EQ(mem.readData(8192 + 4094, 5), straddle);
+    EXPECT_EQ(mem.readData(8192 + 4093, 3),
+              (std::vector<std::uint8_t>{0, 11, 12}));
+    EXPECT_EQ(mem.readData(8192 + 4096, 4),
+              (std::vector<std::uint8_t>{13, 14, 15, 0}));
+
+    // One transfer spanning three pages: the tail of one, a whole page
+    // and the head of a third.
+    std::vector<std::uint8_t> wide(4096 + 200);
+    for (std::size_t i = 0; i < wide.size(); ++i)
+        wide[i] = static_cast<std::uint8_t>(i * 7 + 1);
+    const std::uint64_t wide_at = 5 * 4096 - 100;
+    mem.writeData(wide_at, wide);
+    EXPECT_EQ(mem.readData(wide_at, wide.size()), wide);
+
+    // A partial overwrite inside a written page keeps its neighbours.
+    mem.writeData(wide_at + 300, {0xaa, 0xbb});
+    std::vector<std::uint8_t> patched = wide;
+    patched[300] = 0xaa;
+    patched[301] = 0xbb;
+    EXPECT_EQ(mem.readData(wide_at, wide.size()), patched);
+
+    // A read across written and never-written pages: the unwritten
+    // part is zero.
+    std::vector<std::uint8_t> mixed = mem.readData(wide_at, 3 * 4096);
+    ASSERT_EQ(mixed.size(), 3u * 4096);
+    EXPECT_TRUE(std::equal(patched.begin(), patched.end(), mixed.begin()));
+    EXPECT_TRUE(std::all_of(mixed.begin() + patched.size(), mixed.end(),
+                            [](std::uint8_t b) { return b == 0; }));
+
+    // The last byte of the address space.
+    const std::uint64_t last = mem.mapper().capacityBytes() - 1;
+    EXPECT_EQ(mem.readData(last, 1), (std::vector<std::uint8_t>{0}));
+    mem.writeData(last, {0x5c});
+    EXPECT_EQ(mem.readData(last, 1), (std::vector<std::uint8_t>{0x5c}));
+}
+
+TEST(MainMemory, FunctionalStoreDisjointWritersConcurrent)
+{
+    // Four threads write and read back their own windows while the
+    // others do the same.  Windows 0 and 2 are 16 pages apart, so they
+    // map to the same store stripe and contend for its lock; every
+    // read-back must still be exact.  TSan (tsan preset) checks the
+    // stripe lock discipline on top.
+    MainMemory mem(tech());
+    constexpr int kThreads = 4;
+    constexpr int kRounds = 200;
+    constexpr std::size_t kWindow = 3000;
+    // The staging windows' region; windows 0, 2 and 3 straddle a page
+    // boundary.
+    const std::uint64_t base = mem.mapper().capacityBytes() / 2;
+    const std::uint64_t window_at[kThreads] = {
+        base + 2000, base + 5 * 4096 + 7, base + 16 * 4096 + 2000,
+        base + 40 * 4096 + 3000};
+    std::vector<int> mismatches(kThreads, 0);
+    std::vector<std::thread> threads;
+    threads.reserve(kThreads);
+    for (int th = 0; th < kThreads; ++th) {
+        threads.emplace_back([&, th] {
+            std::vector<std::uint8_t> data(kWindow);
+            for (int round = 0; round < kRounds; ++round) {
+                for (std::size_t i = 0; i < kWindow; ++i)
+                    data[i] = static_cast<std::uint8_t>(
+                        th * 61 + round * 7 + i);
+                mem.writeData(window_at[th], data);
+                if (mem.readData(window_at[th], kWindow) != data)
+                    ++mismatches[static_cast<std::size_t>(th)];
+            }
+        });
+    }
+    for (std::thread &t : threads)
+        t.join();
+    for (int th = 0; th < kThreads; ++th)
+        EXPECT_EQ(mismatches[static_cast<std::size_t>(th)], 0)
+            << "thread " << th;
 }
 
 TEST(MainMemory, StatsAccumulate)

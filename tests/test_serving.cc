@@ -399,6 +399,72 @@ TEST(ServingEngine, RejectsWrongSizeTensorsAndKeepsServing)
     engine.unregisterMetrics(registry);
 }
 
+TEST(ServingEngine, CountsEachRejectionReason)
+{
+    // trySubmit rejects for three reasons; each has its own counter,
+    // as a stat formula and a registry counter, and they sum to
+    // serving.rejected.
+    core::PrimeSystem prime(tinyBankParams());
+    programTiny(prime);
+    const std::vector<nn::Tensor> &inputs = servingSetup().inputs;
+
+    ServingOptions sopt;
+    sopt.queueCapacity = 2;
+    ServingEngine engine(prime, sopt);
+    telemetry::MetricsRegistry registry;
+    registry.enable();
+    engine.registerMetrics(registry);
+    Collector collector;
+
+    // Never started: the ring fills and further submissions are shed.
+    for (int i = 0; i < 5; ++i)
+        engine.trySubmit(inputs[static_cast<std::size_t>(i)],
+                         collector.sink());
+    EXPECT_EQ(engine.accepted(), 2u);
+    EXPECT_EQ(engine.rejectedFull(), 3u);
+    EXPECT_FALSE(
+        engine.trySubmit(nn::Tensor({16}), collector.sink()).has_value());
+    EXPECT_EQ(engine.rejectedShape(), 1u);
+
+    engine.start();
+    engine.stop();  // drains the two accepted requests
+    // Admission is closed after stop().
+    for (int i = 0; i < 2; ++i)
+        EXPECT_FALSE(
+            engine.trySubmit(inputs[0], collector.sink()).has_value());
+
+    EXPECT_EQ(engine.rejectedStopping(), 2u);
+    EXPECT_EQ(engine.rejectedFull(), 3u);
+    EXPECT_EQ(engine.rejectedShape(), 1u);
+    EXPECT_EQ(engine.rejected(), engine.rejectedShape() +
+                                     engine.rejectedFull() +
+                                     engine.rejectedStopping());
+    EXPECT_EQ(engine.completed(), 2u);
+    EXPECT_EQ(collector.responses.size(), 2u);
+
+    const std::map<std::string, double> expected = {
+        {"serving.rejected", 6.0},
+        {"serving.rejected.full", 3.0},
+        {"serving.rejected.stopping", 2.0},
+        {"serving.rejected.shape", 1.0}};
+    for (const auto &[name, value] : expected) {
+        double got = -1.0;
+        ASSERT_TRUE(engine.stats().evalFormula(name, got)) << name;
+        EXPECT_EQ(got, value) << name;
+    }
+    ASSERT_TRUE(registry.sampleOnce());
+    std::size_t seen = 0;
+    for (const auto &series : registry.summarize()) {
+        auto it = expected.find(series.name);
+        if (it == expected.end())
+            continue;
+        ++seen;
+        EXPECT_EQ(series.last, it->second) << series.name;
+    }
+    EXPECT_EQ(seen, expected.size());
+    engine.unregisterMetrics(registry);
+}
+
 TEST(ServingEngine, ServedOutputsBitIdenticalAcrossDispatchThreads)
 {
     core::PrimeSystem prime(tinyBankParams());

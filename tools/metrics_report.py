@@ -33,7 +33,8 @@ SERVING_RE = re.compile(r"^serving\.")
 
 # Monotone admission counters reported as rates in the serving table.
 SERVING_COUNTERS = ("serving.accepted", "serving.rejected",
-                    "serving.rejected.shape", "serving.completed",
+                    "serving.rejected.shape", "serving.rejected.full",
+                    "serving.rejected.stopping", "serving.completed",
                     "serving.batches")
 
 

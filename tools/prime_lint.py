@@ -69,6 +69,17 @@ sampler-lock
     leaf locks are allowed, via suppression), and SpscRing/MpscRing
     are lock-free by contract.
 
+mem-shard-stats
+    src/memory request paths sample into per-bank shard counters; only
+    the publication paths (constructor, stats/syncStats, metrics
+    registration) may do string-keyed StatGroup lookups.
+
+command-path-stats
+    The Table I command path (PrimeController::execute/computeMat/
+    computeMatImpl/computeMats, BufferSubarray::read/write) bumps
+    LazyStat handles resolved once, never a string-keyed get("...") /
+    histogram("...") lookup per command.
+
 headers (opt-in: --check-headers)
     Every header under src/ must be self-contained: a TU that includes
     only that header must compile (include-what-you-use smoke).
@@ -626,6 +637,44 @@ def check_mem_shard_stats(repo: Repo) -> Iterator[Finding]:
                     f"unregisterMetrics) may touch the registry")
 
 
+# Column-0 qualified method definition: captures "Class::method".
+QUALIFIED_FUNC_DEF_RE = re.compile(r"^(?:\w+::)*(\w+::~?\w+)\s*\(")
+# String-keyed StatGroup lookup: get("...") / histogram("...").
+STRING_STAT_LOOKUP_RE = re.compile(r"(?:\.|->)(?:get|histogram)\s*\(\s*\"")
+# The Table I command path: run once per command (or per mat MVM).
+COMMAND_PATH_FUNCS = {
+    "PrimeController::execute", "PrimeController::computeMat",
+    "PrimeController::computeMatImpl", "PrimeController::computeMats",
+    "BufferSubarray::read", "BufferSubarray::write",
+}
+
+
+@rule("command-path-stats", "error",
+      "the Table I command path bumps pre-resolved Stat handles, never"
+      " string-keyed StatGroup lookups",
+      "src/prime/**")
+def check_command_path_stats(repo: Repo) -> Iterator[Finding]:
+    # A string-keyed lookup builds a std::string and walks the group's
+    # map on every command.  The stats these functions bump are LazyStat
+    # members named in the constructors; the one-time resolver
+    # (LazyStat::get, common/stats.hh) is the only lookup, outside the
+    # scanned set.
+    for sf in repo.files("src/prime", (".hh", ".cc")):
+        current = ""
+        for lineno, code in enumerate(sf.code_lines, 1):
+            m = QUALIFIED_FUNC_DEF_RE.match(code)
+            if m:
+                current = m.group(1)
+            if current in COMMAND_PATH_FUNCS and \
+                    STRING_STAT_LOOKUP_RE.search(code):
+                yield emit(
+                    sf, lineno, "command-path-stats",
+                    f"string-keyed StatGroup lookup in command-path"
+                    f" function '{current}': bind the name to a"
+                    f" LazyStat member in the constructor and bump"
+                    f" that instead")
+
+
 # --------------------------------------------------------------------------
 # Headers (opt-in, needs a compiler)
 # --------------------------------------------------------------------------
@@ -981,6 +1030,48 @@ def self_test() -> int:
     ])})
     expect(failures, "mem-shard-stats/elsewhere",
            run_rules(mem_stats_elsewhere, ["mem-shard-stats"]), 0)
+
+    # ---- command-path-stats ----
+    cmd_stats_bad = fixture_repo({"src/prime/controller.cc": "\n".join([
+        "void",
+        "PrimeController::execute(const mapping::Command &command)",
+        "{",
+        "    stats_->get(\"controller.commands\").increment();",  # finding
+        "}",
+        "void",
+        "PrimeController::computeMats(const std::vector<int> &mats)",
+        "{",
+        "    stats_->histogram(\"controller.fanout\").sample(n);",  # finding
+        "}",
+        "std::vector<std::uint8_t>",
+        "BufferSubarray::read(std::size_t addr, std::size_t size) const",
+        "{",
+        "    stats_->get(\"buffer.read_bytes\").add(size);",  # finding
+        "}",
+    ])})
+    expect(failures, "command-path-stats/bad",
+           run_rules(cmd_stats_bad, ["command-path-stats"]), 3)
+
+    cmd_stats_good = fixture_repo({"src/prime/controller.cc": "\n".join([
+        "PrimeController::PrimeController(StatGroup *stats)",
+        "    : commandsStat_(stats, \"controller.commands\")",
+        "{",
+        "    stats->get(\"controller.setup\").increment();",  # not hot
+        "}",
+        "void",
+        "PrimeController::execute(const mapping::Command &command)",
+        "{",
+        "    commandsStat_.increment();",
+        "    auto *p = owner_.get();",
+        "}",
+        "void",
+        "PrimeController::executeAll(const std::vector<Command> &c)",
+        "{",
+        "    stats_->get(\"controller.batches\").increment();",  # not hot
+        "}",
+    ])})
+    expect(failures, "command-path-stats/good",
+           run_rules(cmd_stats_good, ["command-path-stats"]), 0)
 
     for f in failures:
         print(f"prime_lint self-test: {f}", file=sys.stderr)
