@@ -6,15 +6,17 @@
  * sense amplifiers").  This sweep shows why: below ~5 bits the composed
  * datapath loses classification accuracy, while each extra bit costs SA
  * conversion time (SAR: one cycle per bit) on every one of the 2*cols
- * component conversions of every MVM phase.
+ * component conversions of every MVM phase.  One TechParams per Po
+ * drives both columns: the accuracy of a calibrated PrimeSystem built
+ * from it and the mat MVM latency its LatencyModel prices.
  */
 
 #include <iostream>
 
 #include "common/table.hh"
 #include "nn/dataset.hh"
-#include "nn/quantized.hh"
 #include "nvmodel/latency_model.hh"
+#include "prime/prime_system.hh"
 
 using namespace prime;
 
@@ -61,16 +63,21 @@ main()
     const Ns t6 = ref.matMvm(false);
 
     for (int po = 2; po <= 8; ++po) {
-        nn::QuantizedOptions hw;
-        hw.fidelity = nn::Fidelity::ComposedHardware;
-        hw.composing.outputBits = po;
-        nn::QuantizedNetwork q(topo, net, hw);
-        q.calibrate(std::vector<nn::Sample>(train.begin(),
-                                            train.begin() + 60));
-        const double acc = q.accuracy(test);
-
         nvmodel::TechParams tech = base;
         tech.outputBits = po;
+
+        core::PrimeSystem prime(tech);
+        prime.mapTopology(topo);
+        prime.programWeight(net);
+        prime.configDatapath();
+        prime.calibrate(std::vector<nn::Sample>(train.begin(),
+                                                train.begin() + 60));
+        std::size_t correct = 0;
+        for (const nn::Sample &s : test)
+            if (static_cast<int>(prime.run(s.input).argmax()) == s.label)
+                ++correct;
+        const double acc = static_cast<double>(correct) / test.size();
+
         nvmodel::LatencyModel lat(tech);
         const Ns t = lat.matMvm(false);
 

@@ -2,8 +2,8 @@
  * @file
  * Google-benchmark microbenchmarks of the memory substrate and the
  * PRIME controller path: request scheduling, address decode, the
- * functional backing store, the event queue, and Table I command round
- * trips.  Also reports the modeled Buffer-subarray bypass latency delta
+ * functional backing store and Table I command round trips.  Also
+ * reports the modeled Buffer-subarray bypass latency delta
  * (a Section III-A design note).
  */
 
@@ -14,7 +14,6 @@
 #include "nvmodel/latency_model.hh"
 #include "nn/dataset.hh"
 #include "prime/prime_system.hh"
-#include "sim/event.hh"
 
 using namespace prime;
 
@@ -91,20 +90,6 @@ BM_FunctionalStore(benchmark::State &state)
     state.SetBytesProcessed(state.iterations() * 2 * state.range(0));
 }
 BENCHMARK(BM_FunctionalStore)->Arg(25)->Arg(512)->Arg(64 << 10);
-
-void
-BM_EventQueue(benchmark::State &state)
-{
-    for (auto _ : state) {
-        sim::EventQueue q;
-        for (int i = 0; i < 1000; ++i)
-            q.schedule(static_cast<Ns>((i * 37) % 997), [](Ns) {});
-        q.run();
-        benchmark::DoNotOptimize(q.processed());
-    }
-    state.SetItemsProcessed(state.iterations() * 1000);
-}
-BENCHMARK(BM_EventQueue);
 
 void
 BM_CommandRoundTrip(benchmark::State &state)

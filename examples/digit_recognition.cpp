@@ -1,13 +1,12 @@
 /**
  * @file
  * Digit recognition on PRIME: trains the Table III CNN-1 network on the
- * synthetic digit task and compares four execution paths:
+ * synthetic digit task and compares three execution paths:
  *
  *   1. float32 software inference,
- *   2. dynamic fixed point (6-bit inputs / 8-bit weights),
- *   3. the composed PRIME datapath emulation (QuantizedNetwork), and
- *   4. the full functional PrimeSystem (mats, controller, Table I
- *      commands, split-merge).
+ *   2. dynamic fixed point (6-bit inputs / 8-bit weights), and
+ *   3. the full functional PrimeSystem: the composed datapath on the
+ *      mats, driven by the controller's Table I commands, split-merge.
  *
  * It then prints the modeled speedup/energy advantage of PRIME over the
  * CPU and NPU baselines for this workload.
@@ -50,15 +49,7 @@ main()
     nn::QuantizedNetwork qnet(topo, net, qopt);
     const double dfx_acc = qnet.accuracy(test);
 
-    // 3. composed-hardware emulation
-    nn::QuantizedOptions hopt = qopt;
-    hopt.fidelity = nn::Fidelity::ComposedHardware;
-    nn::QuantizedNetwork hnet(topo, net, hopt);
-    hnet.calibrate(std::vector<nn::Sample>(train.begin(),
-                                           train.begin() + 50));
-    const double hw_acc = hnet.accuracy(test);
-
-    // 4. full functional PrimeSystem
+    // 3. full functional PrimeSystem
     core::PrimeSystem prime;
     prime.mapTopology(topo);
     prime.programWeight(net);
@@ -76,8 +67,6 @@ main()
                 100.0 * float_acc);
     std::printf("  dynamic fixed point (6b/8b):    %5.1f%%\n",
                 100.0 * dfx_acc);
-    std::printf("  composed datapath emulation:    %5.1f%%\n",
-                100.0 * hw_acc);
     std::printf("  full PrimeSystem (in-memory):   %5.1f%%\n\n",
                 100.0 * system_acc);
 

@@ -62,16 +62,6 @@ QuantizedNetwork::QuantizedNetwork(const Topology &topology,
     PRIME_ASSERT(topology.layers.size() == trained.layerCount(),
                  "topology/network layer count mismatch: ",
                  topology.layers.size(), " vs ", trained.layerCount());
-    if (options_.fidelity == Fidelity::ComposedHardware) {
-        PRIME_FATAL_IF(options_.inputBits != options_.composing.inputBits ||
-                           options_.weightBits !=
-                               options_.composing.weightBits,
-                       "ComposedHardware fidelity requires inputBits/"
-                       "weightBits to match the composing parameters");
-        PRIME_FATAL_IF(!options_.composing.consistent(),
-                       "inconsistent composing parameters");
-    }
-
     for (std::size_t i = 0; i < topology.layers.size(); ++i) {
         QLayer q;
         q.spec = topology.layers[i];
@@ -145,150 +135,24 @@ QuantizedNetwork::quantizeActivations(const Tensor &x) const
     return y;
 }
 
-void
-QuantizedNetwork::calibrate(const std::vector<Sample> &samples)
-{
-    PRIME_FATAL_IF(options_.fidelity != Fidelity::ComposedHardware,
-                   "calibrate() applies to ComposedHardware fidelity");
-    for (QLayer &q : qlayers_) {
-        q.calibrationPeak = 0;
-        q.outputShift = -1;
-    }
-    calibrating_ = true;
-    for (const Sample &s : samples)
-        forward(s.input);
-    calibrating_ = false;
-    for (QLayer &q : qlayers_) {
-        if (q.weights.empty())
-            continue;
-        // 2x headroom over the observed peak, floor of one SA window.
-        const std::int64_t bound =
-            std::max<std::int64_t>(2 * q.calibrationPeak, 1);
-        int bits = 0;
-        while ((std::int64_t{1} << bits) <= bound)
-            ++bits;
-        q.outputShift = std::max(0, bits - options_.composing.outputBits);
-    }
-}
-
-std::vector<double>
-QuantizedNetwork::composedMvm(
-    QLayer &q, const std::vector<double> &inputs,
-    const std::vector<std::vector<double>> &weight_cols) const
-{
-    const reram::ComposingParams &cp = options_.composing;
-
-    // Unsigned Pin-bit input codes with a shared power-of-two scale.
-    double max_abs = 0.0;
-    for (double v : inputs)
-        max_abs = std::max(max_abs, std::fabs(v));
-    int exp = 0;
-    if (max_abs > 0.0)
-        std::frexp(max_abs, &exp);  // max_abs <= 2^exp
-    const int in_frac = cp.inputBits - exp;
-    const int max_code = (1 << cp.inputBits) - 1;
-    std::vector<int> codes(inputs.size());
-    for (std::size_t i = 0; i < inputs.size(); ++i) {
-        double scaled = std::ldexp(std::max(inputs[i], 0.0), in_frac);
-        codes[i] = static_cast<int>(
-            std::clamp(std::nearbyint(scaled), 0.0,
-                       static_cast<double>(max_code)));
-    }
-
-    const int w_frac = q.weightFormat.fracLength;
-    const int max_w = (1 << cp.weightBits) - 1;
-
-    // Quantize every weight column first, then calibrate the SA window
-    // to the worst-case column range (the per-layer reconfigurable-SA
-    // setting the controller programs).
-    std::vector<std::vector<int>> wcodes(
-        weight_cols.size(), std::vector<int>(inputs.size()));
-    for (std::size_t c = 0; c < weight_cols.size(); ++c) {
-        PRIME_ASSERT(weight_cols[c].size() == inputs.size(),
-                     "weight column length mismatch");
-        for (std::size_t i = 0; i < inputs.size(); ++i) {
-            double m = std::nearbyint(
-                std::ldexp(weight_cols[c][i], w_frac));
-            wcodes[c][i] = static_cast<int>(std::clamp(
-                m, static_cast<double>(-max_w),
-                static_cast<double>(max_w)));
-        }
-    }
-    std::vector<double> out(weight_cols.size(), 0.0);
-    if (calibrating_) {
-        // Record the peak integer dot product and return exact values so
-        // downstream layers see realistic activations.
-        for (std::size_t c = 0; c < weight_cols.size(); ++c) {
-            std::int64_t full = 0;
-            for (std::size_t i = 0; i < inputs.size(); ++i)
-                full += static_cast<std::int64_t>(codes[i]) * wcodes[c][i];
-            q.calibrationPeak =
-                std::max<std::int64_t>(q.calibrationPeak, std::abs(full));
-            out[c] = std::ldexp(static_cast<double>(full),
-                                -in_frac - w_frac);
-        }
-        return out;
-    }
-
-    int shift = q.outputShift;
-    if (shift < 0) {
-        // Uncalibrated: conservative worst-case-weight window.
-        std::vector<std::vector<int>> by_row(
-            inputs.size(), std::vector<int>(weight_cols.size()));
-        for (std::size_t c = 0; c < weight_cols.size(); ++c)
-            for (std::size_t i = 0; i < inputs.size(); ++i)
-                by_row[i][c] = wcodes[c][i];
-        shift = reram::calibratedOutputShift(by_row, cp);
-    }
-
-    for (std::size_t c = 0; c < weight_cols.size(); ++c) {
-        const std::int64_t target =
-            reram::composedApproxShifted(codes, wcodes[c], cp, shift);
-        // Undo the output shift and both quantization scales.
-        out[c] = std::ldexp(static_cast<double>(target),
-                            shift - in_frac - w_frac);
-    }
-    return out;
-}
-
 Tensor
-QuantizedNetwork::forwardFc(QLayer &q, const Tensor &x) const
+QuantizedNetwork::forwardFc(const QLayer &q, const Tensor &x)
 {
     const LayerSpec &s = q.spec;
     Tensor y({s.outFeatures});
-    if (options_.fidelity == Fidelity::DynamicFixedPoint) {
-        for (int o = 0; o < s.outFeatures; ++o) {
-            const double *row =
-                &q.weights[static_cast<std::size_t>(o) * s.inFeatures];
-            double acc = q.bias[static_cast<std::size_t>(o)];
-            for (int i = 0; i < s.inFeatures; ++i)
-                acc += row[i] * x[static_cast<std::size_t>(i)];
-            y[static_cast<std::size_t>(o)] = acc;
-        }
-        return y;
-    }
-    // ComposedHardware: run all output columns through the composing
-    // integer pipeline; bias accumulates digitally afterwards.
-    std::vector<double> inputs(x.flat());
-    std::vector<std::vector<double>> cols(
-        static_cast<std::size_t>(s.outFeatures));
     for (int o = 0; o < s.outFeatures; ++o) {
-        cols[static_cast<std::size_t>(o)].resize(
-            static_cast<std::size_t>(s.inFeatures));
+        const double *row =
+            &q.weights[static_cast<std::size_t>(o) * s.inFeatures];
+        double acc = q.bias[static_cast<std::size_t>(o)];
         for (int i = 0; i < s.inFeatures; ++i)
-            cols[static_cast<std::size_t>(o)][static_cast<std::size_t>(i)] =
-                q.weights[static_cast<std::size_t>(o) * s.inFeatures + i];
+            acc += row[i] * x[static_cast<std::size_t>(i)];
+        y[static_cast<std::size_t>(o)] = acc;
     }
-    std::vector<double> mvm = composedMvm(q, inputs, cols);
-    for (int o = 0; o < s.outFeatures; ++o)
-        y[static_cast<std::size_t>(o)] =
-            mvm[static_cast<std::size_t>(o)] +
-            q.bias[static_cast<std::size_t>(o)];
     return y;
 }
 
 Tensor
-QuantizedNetwork::forwardConv(QLayer &q, const Tensor &x) const
+QuantizedNetwork::forwardConv(const QLayer &q, const Tensor &x)
 {
     const LayerSpec &s = q.spec;
     Tensor y({s.outC, s.outH, s.outW});
@@ -296,63 +160,24 @@ QuantizedNetwork::forwardConv(QLayer &q, const Tensor &x) const
         return q.weights[((static_cast<std::size_t>(oc) * s.inC + ic) *
                               s.kernel + kh) * s.kernel + kw];
     };
-    if (options_.fidelity == Fidelity::DynamicFixedPoint) {
-        for (int oc = 0; oc < s.outC; ++oc)
-            for (int oy = 0; oy < s.outH; ++oy)
-                for (int ox = 0; ox < s.outW; ++ox) {
-                    double acc = q.bias[static_cast<std::size_t>(oc)];
-                    for (int ic = 0; ic < s.inC; ++ic)
-                        for (int kh = 0; kh < s.kernel; ++kh) {
-                            const int iy = oy + kh - s.padding;
-                            if (iy < 0 || iy >= s.inH)
-                                continue;
-                            for (int kw = 0; kw < s.kernel; ++kw) {
-                                const int ix = ox + kw - s.padding;
-                                if (ix < 0 || ix >= s.inW)
-                                    continue;
-                                acc += w_at(oc, ic, kh, kw) *
-                                       x.at3(ic, iy, ix);
-                            }
-                        }
-                    y.at3(oc, oy, ox) = acc;
-                }
-        return y;
-    }
-    // ComposedHardware: lower each output position to an MVM over its
-    // receptive field (the paper maps kernel elements to bitlines).
-    const int field = s.inC * s.kernel * s.kernel;
-    std::vector<double> inputs(static_cast<std::size_t>(field));
-    std::vector<std::vector<double>> cols(
-        static_cast<std::size_t>(s.outC),
-        std::vector<double>(static_cast<std::size_t>(field)));
-    for (int oc = 0; oc < s.outC; ++oc) {
-        std::size_t idx = 0;
-        for (int ic = 0; ic < s.inC; ++ic)
-            for (int kh = 0; kh < s.kernel; ++kh)
-                for (int kw = 0; kw < s.kernel; ++kw)
-                    cols[static_cast<std::size_t>(oc)][idx++] =
-                        w_at(oc, ic, kh, kw);
-    }
-    for (int oy = 0; oy < s.outH; ++oy)
-        for (int ox = 0; ox < s.outW; ++ox) {
-            std::size_t idx = 0;
-            for (int ic = 0; ic < s.inC; ++ic)
-                for (int kh = 0; kh < s.kernel; ++kh)
-                    for (int kw = 0; kw < s.kernel; ++kw) {
+    for (int oc = 0; oc < s.outC; ++oc)
+        for (int oy = 0; oy < s.outH; ++oy)
+            for (int ox = 0; ox < s.outW; ++ox) {
+                double acc = q.bias[static_cast<std::size_t>(oc)];
+                for (int ic = 0; ic < s.inC; ++ic)
+                    for (int kh = 0; kh < s.kernel; ++kh) {
                         const int iy = oy + kh - s.padding;
-                        const int ix = ox + kw - s.padding;
-                        inputs[idx++] =
-                            (iy < 0 || iy >= s.inH || ix < 0 ||
-                             ix >= s.inW)
-                                ? 0.0
-                                : x.at3(ic, iy, ix);
+                        if (iy < 0 || iy >= s.inH)
+                            continue;
+                        for (int kw = 0; kw < s.kernel; ++kw) {
+                            const int ix = ox + kw - s.padding;
+                            if (ix < 0 || ix >= s.inW)
+                                continue;
+                            acc += w_at(oc, ic, kh, kw) * x.at3(ic, iy, ix);
+                        }
                     }
-            std::vector<double> mvm = composedMvm(q, inputs, cols);
-            for (int oc = 0; oc < s.outC; ++oc)
-                y.at3(oc, oy, ox) =
-                    mvm[static_cast<std::size_t>(oc)] +
-                    q.bias[static_cast<std::size_t>(oc)];
-        }
+                y.at3(oc, oy, ox) = acc;
+            }
     return y;
 }
 
@@ -360,7 +185,7 @@ Tensor
 QuantizedNetwork::forward(const Tensor &input) const
 {
     Tensor x = input;
-    for (QLayer &q : qlayers_) {
+    for (const QLayer &q : qlayers_) {
         switch (q.spec.kind) {
           case LayerKind::FullyConnected:
             x = quantizeActivations(x);

@@ -1,21 +1,14 @@
 /**
  * @file
- * Quantized inference runtime (paper Section III-D, Figure 6).
+ * Dynamic-fixed-point inference (paper Section III-D, Figure 6): the
+ * software precision study.  Inputs/activations and synaptic weights
+ * of every layer are rounded to dynamic fixed point [68] of
+ * configurable bit widths while the arithmetic stays in doubles;
+ * sweeping 1..8 bits reproduces the accuracy-vs-precision surface.
  *
- * Two fidelity levels share the same trained weights:
- *
- *   Fidelity::DynamicFixedPoint -- the software study behind Figure 6:
- *     inputs/activations and synaptic weights of every layer are rounded
- *     to dynamic fixed point [68] of configurable bit widths, arithmetic
- *     stays in doubles.  Sweeping 1..8 bits reproduces the accuracy-vs-
- *     precision surface.
- *
- *   Fidelity::ComposedHardware -- the PRIME datapath emulation: weighted
- *     layers run through the input & synapse composing integer pipeline
- *     (3-bit input phases, 4-bit cells, 6-bit SA codes) exactly as the
- *     FF subarray hardware would compute them, including the HH/HL/LH
- *     truncation.  Used to validate end-to-end fidelity of the hardware
- *     path against the software quantization.
+ * The composed hardware datapath (input & synapse composing, SA
+ * windows, split-merge) is not modeled here: it runs only in
+ * core::PrimeSystem, on the mapped crossbars.
  */
 
 #ifndef PRIME_NN_QUANTIZED_HH
@@ -31,13 +24,6 @@
 
 namespace prime::nn {
 
-/** How faithfully to emulate the PRIME datapath. */
-enum class Fidelity
-{
-    DynamicFixedPoint,
-    ComposedHardware,
-};
-
 /** Quantization configuration. */
 struct QuantizedOptions
 {
@@ -45,8 +31,7 @@ struct QuantizedOptions
     int inputBits = 6;
     /** Synaptic weight precision in bits (Figure 6 series). */
     int weightBits = 8;
-    Fidelity fidelity = Fidelity::DynamicFixedPoint;
-    /** Composing parameters for ComposedHardware fidelity. */
+    /** Cell layout injectCellFaults() corrupts the weights under. */
     reram::ComposingParams composing;
 };
 
@@ -63,15 +48,6 @@ class QuantizedNetwork
      */
     QuantizedNetwork(const Topology &topology, const Network &trained,
                      const QuantizedOptions &options);
-
-    /**
-     * Profile the per-layer SA window on sample data (ComposedHardware
-     * fidelity): runs the quantized pipeline recording each layer's
-     * maximum integer dot-product magnitude, then sets the layer's
-     * reconfigurable-SA shift with a 2x safety margin.  Uncalibrated
-     * layers fall back to the conservative worst-case-weight window.
-     */
-    void calibrate(const std::vector<Sample> &samples);
 
     /** Quantized forward pass; returns logits. */
     Tensor forward(const Tensor &input) const;
@@ -105,25 +81,15 @@ class QuantizedNetwork
         std::vector<double> weights;
         std::vector<double> bias;
         DfxFormat weightFormat;
-        /** Calibrated SA-window shift (-1: use the worst-case bound). */
-        int outputShift = -1;
-        /** Peak |integer dot product| observed while calibrating. */
-        std::int64_t calibrationPeak = 0;
     };
 
     Tensor quantizeActivations(const Tensor &x) const;
-    Tensor forwardFc(QLayer &q, const Tensor &x) const;
-    Tensor forwardConv(QLayer &q, const Tensor &x) const;
-    /** Composed-hardware signed MVM used by both FC and conv lowering. */
-    std::vector<double>
-    composedMvm(QLayer &q, const std::vector<double> &inputs,
-                const std::vector<std::vector<double>> &weight_cols) const;
+    static Tensor forwardFc(const QLayer &q, const Tensor &x);
+    static Tensor forwardConv(const QLayer &q, const Tensor &x);
 
     Topology topology_;
     QuantizedOptions options_;
-    mutable std::vector<QLayer> qlayers_;
-    /** True while calibrate() drives forward passes. */
-    bool calibrating_ = false;
+    std::vector<QLayer> qlayers_;
 };
 
 } // namespace prime::nn

@@ -35,7 +35,8 @@
 #include "common/fixed_point.hh"
 #include "mapping/mapper.hh"
 #include "memory/main_memory.hh"
-#include "nn/quantized.hh"
+#include "nn/network.hh"
+#include "nn/topology.hh"
 #include "prime/controller.hh"
 #include "sim/prime_model.hh"
 

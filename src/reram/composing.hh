@@ -138,7 +138,7 @@ int calibratedOutputShift(const std::vector<std::vector<int>> &weights,
                           const ComposingParams &p);
 
 /** Assemble one output from the four component dot products under a
- *  configured SA window (exposed for the quantized runtime). */
+ *  configured SA window (the precision-control adder of one column). */
 std::int64_t composedAssemble(std::int64_t hh, std::int64_t hl,
                               std::int64_t lh, std::int64_t ll,
                               const ComposingParams &p, int total_shift);

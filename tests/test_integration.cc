@@ -8,7 +8,6 @@
 #include <gtest/gtest.h>
 
 #include "nn/dataset.hh"
-#include "nn/quantized.hh"
 #include "prime/prime_system.hh"
 #include "prime/runtime.hh"
 
@@ -176,36 +175,6 @@ TEST(Integration, BufferTrafficMatchesCommandAccounting)
         prime.stats().get("controller.load_bytes").sum();
     EXPECT_GT(loads, 0.0);
     EXPECT_LT(loads, static_cast<double>(traffic));
-}
-
-} // namespace
-} // namespace prime
-
-namespace prime {
-namespace {
-
-TEST(Integration, PrimeSystemAgreesWithQuantizedEmulation)
-{
-    // Two independent implementations of the composed datapath -- the
-    // tile-level PrimeSystem and the layer-level QuantizedNetwork --
-    // should classify (nearly) identically.
-    nn::QuantizedOptions hw;
-    hw.fidelity = nn::Fidelity::ComposedHardware;
-    nn::QuantizedNetwork qnet(setup().topology, setup().net, hw);
-    qnet.calibrate({setup().train.begin(), setup().train.begin() + 30});
-
-    core::PrimeSystem prime;
-    prime.mapTopology(setup().topology);
-    prime.programWeight(setup().net);
-    prime.configDatapath();
-    prime.calibrate({setup().train.begin(), setup().train.begin() + 30});
-
-    int agree = 0;
-    for (const nn::Sample &s : setup().test)
-        if (qnet.predict(s.input) ==
-            static_cast<int>(prime.run(s.input).argmax()))
-            ++agree;
-    EXPECT_GT(static_cast<double>(agree) / setup().test.size(), 0.8);
 }
 
 } // namespace

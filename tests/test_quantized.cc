@@ -1,13 +1,15 @@
 /**
  * @file
  * Quantized inference tests (Figure 6 machinery): dynamic-fixed-point
- * accuracy behavior and the composed-hardware datapath fidelity.
+ * accuracy behavior, and the composed PrimeSystem datapath tracking the
+ * software quantization.
  */
 
 #include <gtest/gtest.h>
 
 #include "nn/dataset.hh"
 #include "nn/quantized.hh"
+#include "prime/prime_system.hh"
 
 namespace prime::nn {
 namespace {
@@ -102,39 +104,35 @@ TEST(QuantizedNetwork, ThreeBitsSufficient)
     EXPECT_GT(q.accuracy(trained().test), fl - 0.12);
 }
 
-TEST(QuantizedNetwork, ComposedHardwareTracksSoftwareQuantization)
+TEST(QuantizedNetwork, PrimeSystemTracksSoftwareQuantization)
 {
     QuantizedOptions sw;
     sw.inputBits = 6;
     sw.weightBits = 8;
     QuantizedNetwork qsw(trained().topology, trained().net, sw);
 
-    QuantizedOptions hw = sw;
-    hw.fidelity = Fidelity::ComposedHardware;
-    QuantizedNetwork qhw(trained().topology, trained().net, hw);
-    // Profile the SA windows on (a slice of) the training data, as the
-    // compiler would before deployment.
-    qhw.calibrate(std::vector<Sample>(trained().train.begin(),
-                                      trained().train.begin() + 100));
+    // The composed datapath runs on the mapped crossbars; profile its SA
+    // windows on (a slice of) the training data, as the compiler would
+    // before deployment.
+    core::PrimeSystem prime;
+    prime.mapTopology(trained().topology);
+    prime.programWeight(trained().net);
+    prime.configDatapath();
+    prime.calibrate(std::vector<Sample>(trained().train.begin(),
+                                        trained().train.begin() + 100));
 
     // The hardware path adds bounded truncation error; classification
     // should agree on the vast majority of samples.
-    int agree = 0;
-    for (const Sample &s : trained().test)
-        if (qsw.predict(s.input) == qhw.predict(s.input))
+    int agree = 0, correct = 0;
+    for (const Sample &s : trained().test) {
+        const int hw = static_cast<int>(prime.run(s.input).argmax());
+        if (qsw.predict(s.input) == hw)
             ++agree;
+        if (hw == s.label)
+            ++correct;
+    }
     EXPECT_GT(static_cast<double>(agree) / trained().test.size(), 0.85);
-    EXPECT_GT(qhw.accuracy(trained().test), 0.75);
-}
-
-TEST(QuantizedNetwork, ComposedHardwareRequiresMatchingBits)
-{
-    QuantizedOptions bad;
-    bad.fidelity = Fidelity::ComposedHardware;
-    bad.inputBits = 4;  // != composing.inputBits (6)
-    EXPECT_THROW(
-        QuantizedNetwork(trained().topology, trained().net, bad),
-        std::runtime_error);
+    EXPECT_GT(static_cast<double>(correct) / trained().test.size(), 0.75);
 }
 
 /** Accuracy is (weakly) monotone in weight precision on average. */

@@ -49,20 +49,26 @@ TEST(ThreadPoolStress, TracedHammerWithConcurrentReaders)
     session.enable();
 
     ThreadPool pool(8);
+    std::atomic<bool> started{false};
     std::atomic<bool> done{false};
     std::atomic<std::size_t> reads{0};
 
     // Concurrent reader: legal under the lanes contract (committed
-    // prefixes only).  Counts must never decrease.
+    // prefixes only).  Counts must never decrease.  It signals `started`
+    // only after its first read, so the hammer below cannot finish
+    // before the reader has observed the session at least once.
     std::thread reader([&] {
         std::size_t last = 0;
-        while (!done.load(std::memory_order_acquire)) {
+        do {
             const std::size_t n = session.eventCount();
             EXPECT_GE(n, last);
             last = n;
             reads.fetch_add(1, std::memory_order_relaxed);
-        }
+            started.store(true, std::memory_order_release);
+        } while (!done.load(std::memory_order_acquire));
     });
+    while (!started.load(std::memory_order_acquire))
+        std::this_thread::yield();
 
     std::vector<std::uint64_t> out(kTasks, 0);
     pool.parallelFor(kTasks, [&](std::size_t i) {
