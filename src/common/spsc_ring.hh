@@ -92,6 +92,22 @@ class SpscRing
     }
 
     /**
+     * Producer side: whether a tryPush right now would fail.  Only the
+     * consumer can change the answer (from true to false), so a false
+     * here guarantees the producer's next tryPush succeeds -- which
+     * lets a producer finish its bookkeeping before publishing.
+     */
+    bool
+    full()
+    {
+        const std::size_t next =
+            increment(tail_.load(std::memory_order_relaxed));
+        if (next == cachedHead_)
+            cachedHead_ = head_.load(std::memory_order_acquire);
+        return next == cachedHead_;
+    }
+
+    /**
      * Consumer side: move the oldest value into @p out and return true,
      * or return false when the ring is empty.
      */

@@ -5,9 +5,7 @@
 
 namespace prime::telemetry {
 
-Histogram::Histogram() : buckets_(kBucketCount, 0)
-{
-}
+Histogram::Histogram() = default;
 
 int
 Histogram::bucketIndex(double value)
@@ -47,6 +45,8 @@ Histogram::bucketUpperBound(int index)
 void
 Histogram::sample(double value)
 {
+    if (buckets_.empty())
+        buckets_.assign(kBucketCount, 0);
     buckets_[static_cast<std::size_t>(bucketIndex(value))] += 1;
     sum_ += value;
     count_ += 1;
@@ -63,6 +63,8 @@ Histogram::merge(const Histogram &other)
 {
     if (other.count_ == 0)
         return;
+    if (buckets_.empty())
+        buckets_.assign(kBucketCount, 0);
     for (std::size_t i = 0; i < buckets_.size(); ++i)
         buckets_[i] += other.buckets_[i];
     if (count_ == 0) {
@@ -111,12 +113,22 @@ Histogram::quantile(double q) const
         return max_;
     std::uint64_t cum = 0;
     for (int i = 0; i < kBucketCount; ++i) {
-        cum += buckets_[static_cast<std::size_t>(i)];
-        if (cum >= rank) {
-            const double mid =
-                0.5 * (bucketLowerBound(i) + bucketUpperBound(i));
-            return std::clamp(mid, min_, max_);
+        const std::uint64_t in_bucket =
+            buckets_[static_cast<std::size_t>(i)];
+        if (cum + in_bucket >= rank) {
+            // Linear interpolation by rank: the bucket's samples are
+            // taken as evenly spread over its span, clipped to the
+            // exact extrema (the first and last occupied buckets are
+            // usually only partly covered), and the rank-th of them
+            // sits at the centre of its share of that span.
+            const double lo = std::max(bucketLowerBound(i), min_);
+            const double hi = std::min(bucketUpperBound(i), max_);
+            const double frac =
+                (static_cast<double>(rank - cum) - 0.5) /
+                static_cast<double>(in_bucket);
+            return std::clamp(lo + frac * (hi - lo), min_, max_);
         }
+        cum += in_bucket;
     }
     return max_;
 }

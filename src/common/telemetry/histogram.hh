@@ -6,8 +6,14 @@
  * into kSubBuckets linear sub-buckets, bounding the relative error of a
  * reported quantile by 1/kSubBuckets (12.5%) while keeping the bucket
  * array small and the sample path branch-free (frexp + two integer
- * ops).  Non-positive samples land in a dedicated underflow bucket so
- * zero-latency events stay visible without distorting the log range.
+ * ops).  Quantiles interpolate by rank inside their bucket, so two
+ * quantiles that share a bucket (p95 and p99 of a narrow latency
+ * distribution) still report distinct values.  Non-positive samples
+ * land in a dedicated underflow bucket so zero-latency events stay
+ * visible without distorting the log range.  The ~6 KB bucket array
+ * is allocated by the first sample (or merge), so the many histograms
+ * that never see one -- the memory model keeps four per bank, most
+ * banks idle -- cost a few words each.
  */
 
 #ifndef PRIME_COMMON_TELEMETRY_HISTOGRAM_HH
@@ -56,9 +62,10 @@ class Histogram
     double max() const { return count_ ? max_ : 0.0; }
 
     /**
-     * Value at quantile @p q in [0, 1], approximated by the midpoint of
-     * the containing bucket and clamped to the exact [min, max] range.
-     * Returns 0 on an empty histogram.
+     * Value at quantile @p q in [0, 1]: the nearest-rank sample,
+     * located by linear interpolation of its rank inside the
+     * containing bucket (whose span is clipped to the exact [min,
+     * max] range).  Returns 0 on an empty histogram.
      */
     double quantile(double q) const;
 

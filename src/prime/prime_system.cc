@@ -40,6 +40,18 @@ PrimeSystem::PrimeSystem(const nvmodel::TechParams &tech,
     outputStageAddr_ = capacity / 2 + capacity / 4;
 }
 
+PrimeSystem::~PrimeSystem()
+{
+    stopExecutor();
+}
+
+void
+PrimeSystem::stopExecutor()
+{
+    MutexLock lock(executorMutex_);
+    executor_.reset();
+}
+
 void
 PrimeSystem::ensureBank(int bank)
 {
@@ -79,6 +91,7 @@ PrimeSystem::buffer(int bank)
 void
 PrimeSystem::setAnalogCompute(bool analog, Rng *noise_rng)
 {
+    stopExecutor();
     analog_ = analog;
     analogNoiseRng_ = noise_rng;
     for (const std::unique_ptr<BankUnit> &b : banks_)
@@ -90,6 +103,7 @@ PrimeSystem::mapTopology(const nn::Topology &topology)
 {
     // Phase spans mirror the Figure 7 API steps (the Fig. 9 categories).
     PRIME_SPAN(telemetry::globalTrace(), "phase.map_topology", "phase");
+    stopExecutor();
     mapping::Mapper mapper(tech_.geometry, mapperOptions_);
     topology_ = topology;
     plan_ = mapper.map(topology);
@@ -163,6 +177,7 @@ PrimeSystem::programWeight(const nn::Network &trained, Rng *rng)
 {
     PRIME_SPAN(telemetry::globalTrace(), "phase.program_weight", "phase");
     PRIME_ASSERT(plan_.has_value(), "mapTopology must precede");
+    stopExecutor();
     PRIME_FATAL_IF(topology_->layers.size() != trained.layerCount(),
                    "trained network (", trained.layerCount(),
                    " layers) does not match the mapped topology (",
@@ -666,25 +681,84 @@ PrimeSystem::runBatch(std::span<const nn::Tensor> inputs)
     return runBatch(inputs, RunBatchOptions{});
 }
 
+bool
+PrimeSystem::sequentialBatch(const RunBatchOptions &options) const
+{
+    // The analog noise Rng's draw order is only defined sequentially
+    // (the RNG-ordering contract), so it forces the sequential path.
+    return !options.pipeline || stages_.size() <= 1 ||
+           (analog_ && analogNoiseRng_ != nullptr);
+}
+
+PipelineExecutor &
+PrimeSystem::acquireExecutor(const RunBatchOptions &options)
+{
+    const std::size_t capacity =
+        static_cast<std::size_t>(std::max(1, options.queueCapacity));
+    MutexLock lock(executorMutex_);
+    if (executor_ && executor_->ringCapacity() != capacity &&
+        executor_->idle())
+        executor_.reset();
+    if (!executor_) {
+        executor_ = std::make_unique<PipelineExecutor>(*this, capacity);
+        if (metrics_)
+            executor_->registerMetrics(*metrics_);
+    }
+    executor_->admit();
+    return *executor_;
+}
+
 std::vector<nn::Tensor>
 PrimeSystem::runBatch(std::span<const nn::Tensor> inputs,
                       const RunBatchOptions &options)
 {
     PRIME_ASSERT(programmed_, "programWeight must precede runBatch");
     PRIME_ASSERT(configured_, "configDatapath must precede runBatch");
-    // The analog noise Rng's draw order is only defined sequentially
-    // (the RNG-ordering contract), so it forces the sequential path.
-    const bool sequential = !options.pipeline || stages_.size() <= 1 ||
-                            (analog_ && analogNoiseRng_ != nullptr);
-    if (sequential) {
+    if (sequentialBatch(options)) {
         std::vector<nn::Tensor> out;
         out.reserve(inputs.size());
         for (const nn::Tensor &in : inputs)
             out.push_back(run(in));
         return out;
     }
-    PipelineEngine engine(*this, options);
-    return engine.run(inputs);
+    if (inputs.empty())
+        return {};
+    PRIME_SPAN(telemetry::globalTrace(), "pipeline.batch", "pipeline");
+    // Submit, then park until the last stage hands the outputs over.
+    struct Completion
+    {
+        Mutex mutex;
+        CondVar cv;
+        bool done PRIME_GUARDED_BY(mutex) = false;
+        std::vector<nn::Tensor> outputs PRIME_GUARDED_BY(mutex);
+    } completion;
+    acquireExecutor(options).submit(
+        inputs, {}, options,
+        [&completion](std::vector<nn::Tensor> &&outputs) {
+            MutexLock lock(completion.mutex);
+            completion.outputs = std::move(outputs);
+            completion.done = true;
+            completion.cv.notify_one();
+        });
+    UniqueLock lock(completion.mutex);
+    while (!completion.done)
+        completion.cv.wait(lock);
+    return std::move(completion.outputs);
+}
+
+void
+PrimeSystem::submitBatch(std::span<const nn::Tensor> inputs,
+                         std::span<const std::uint64_t> request_ids,
+                         const RunBatchOptions &options, BatchDone done)
+{
+    PRIME_ASSERT(programmed_, "programWeight must precede submitBatch");
+    PRIME_ASSERT(configured_, "configDatapath must precede submitBatch");
+    if (inputs.empty() || sequentialBatch(options)) {
+        done(runBatch(inputs, options));
+        return;
+    }
+    acquireExecutor(options).submit(inputs, request_ids, options,
+                                    std::move(done));
 }
 
 std::vector<double>
@@ -697,6 +771,7 @@ void
 PrimeSystem::release()
 {
     PRIME_SPAN(telemetry::globalTrace(), "phase.release", "phase");
+    stopExecutor();
     for (const std::unique_ptr<BankUnit> &b : banks_) {
         for (FfSubarray &sub : b->ff) {
             for (int i = 0; i < sub.matCount(); ++i) {
@@ -761,6 +836,10 @@ PrimeSystem::registerMetrics(telemetry::MetricsRegistry &registry)
                          return static_cast<double>(stat->count());
                      });
     mem_.registerMetrics(registry);
+    MutexLock lock(executorMutex_);
+    metrics_ = &registry;
+    if (executor_)
+        executor_->registerMetrics(registry);
 }
 
 void
@@ -769,6 +848,10 @@ PrimeSystem::unregisterMetrics(telemetry::MetricsRegistry &registry)
     registry.unregister("run.inferences");
     registry.unregister("run.tiled_mvms");
     mem_.unregisterMetrics(registry);
+    MutexLock lock(executorMutex_);
+    if (executor_)
+        executor_->unregisterMetrics();
+    metrics_ = nullptr;
 }
 
 } // namespace prime::core

@@ -13,18 +13,21 @@
  *
  * The functional path instantiates one bank unit (FF subarrays + Buffer
  * subarray + controller) per bank the plan places tiles into, so Large
- * plans execute across real bank boundaries.  runBatch() drives those
- * banks as the paper's inter-bank pipeline (Section IV-B: one stage per
- * bank-disjoint layer group) via the PipelineEngine; run() executes the
- * same stages sequentially.  Bank-level parallelism (identical copies
- * of a small/medium NN across banks) still needs only bank 0 for
- * functional fidelity.  Performance and energy are estimated by the
- * analytic PrimeModel over the same MappingPlan.
+ * plans execute across real bank boundaries.  runBatch() and
+ * submitBatch() stream batches through those banks as the paper's
+ * inter-bank pipeline (Section IV-B: one stage per bank-disjoint layer
+ * group) on a persistent PipelineExecutor; run() executes the same
+ * stages sequentially on the calling thread.  Bank-level parallelism
+ * (identical copies of a small/medium NN across banks) still needs
+ * only bank 0 for functional fidelity.  Performance and energy are
+ * estimated by the analytic PrimeModel over the same MappingPlan.
  */
 
 #ifndef PRIME_PRIME_PRIME_SYSTEM_HH
 #define PRIME_PRIME_PRIME_SYSTEM_HH
 
+#include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -33,6 +36,8 @@
 #include <vector>
 
 #include "common/fixed_point.hh"
+#include "common/mutex.hh"
+#include "common/thread_annotations.hh"
 #include "mapping/mapper.hh"
 #include "memory/main_memory.hh"
 #include "nn/network.hh"
@@ -42,6 +47,8 @@
 
 namespace prime::core {
 
+class PipelineExecutor;
+
 /** The full PRIME machine (functional + analytic). */
 class PrimeSystem
 {
@@ -49,6 +56,11 @@ class PrimeSystem
     explicit PrimeSystem(
         const nvmodel::TechParams &tech = nvmodel::defaultTechParams(),
         const mapping::MapperOptions &mapper_options = {});
+    /** Stops and joins the pipeline executor if one is running. */
+    ~PrimeSystem();
+
+    PrimeSystem(const PrimeSystem &) = delete;
+    PrimeSystem &operator=(const PrimeSystem &) = delete;
 
     // ------------------------------------------------ Figure 7 API --
 
@@ -86,13 +98,20 @@ class PrimeSystem
 
     /**
      * Batched inference.  With `pipeline` enabled and a multi-stage
-     * plan, the batch streams through the free-running inter-bank
-     * pipeline executor (one dedicated worker per stage, bounded SPSC
-     * ring queues between them); otherwise the samples run sequentially
-     * through run().  Results are bit-identical to per-sample run()
-     * calls at any thread count, queue capacity and handoff batch --
-     * except under analog compute with a noise Rng, where the draw
-     * order is only defined sequentially, so the executor falls back.
+     * plan, the batch streams through the persistent inter-bank
+     * pipeline executor (one long-lived worker per stage, bounded SPSC
+     * ring queues between them; see prime/pipeline.hh) and the caller
+     * parks until its outputs are back; otherwise the samples run
+     * sequentially through run().  Results are bit-identical to
+     * per-sample run() calls at any thread count, queue capacity,
+     * handoff batch and interleaving with other batches -- except under
+     * analog compute with a noise Rng, where the draw order is only
+     * defined sequentially, so the executor falls back.
+     *
+     * Threading: pipelined runBatch/submitBatch calls may come from
+     * several threads at once (their batches overlap in the stages).
+     * The sequential fallbacks, run(), calibrate() and the set-up /
+     * release calls are single-caller and must not overlap them.
      */
     struct RunBatchOptions
     {
@@ -101,7 +120,10 @@ class PrimeSystem
         /**
          * Bounded depth of each inter-stage ring, counted in handoff
          * batches (backpressure: a slow stage stalls its producer
-         * after queueCapacity * handoffBatch buffered samples).
+         * after queueCapacity * handoffBatch buffered samples).  The
+         * rings are sized when the executor starts; a batch asking for
+         * another depth restarts the executor once nothing is in
+         * flight, and otherwise runs at the current depth.
          */
         int queueCapacity = 2;
         /**
@@ -110,10 +132,37 @@ class PrimeSystem
          * over the batch.
          */
         int handoffBatch = 4;
+        /**
+         * Most samples the executor's ingress may hold when one of this
+         * batch's samples is pushed (0: no limit below the ingress's
+         * own capacity); the submitter parks until stage 0 has taken
+         * enough.  A caller that coalesces requests (the serving
+         * engine) sets it so its backlog stays on its own side, where
+         * later arrivals can still join a batch.
+         */
+        int maxQueued = 0;
     };
     std::vector<nn::Tensor> runBatch(std::span<const nn::Tensor> inputs,
                                      const RunBatchOptions &options);
     std::vector<nn::Tensor> runBatch(std::span<const nn::Tensor> inputs);
+
+    /** Receives a submitted batch's outputs, in input order. */
+    using BatchDone = std::function<void(std::vector<nn::Tensor> &&)>;
+
+    /**
+     * Streaming batched inference (the serving path): queue @p inputs
+     * and return without waiting; @p inputs must stay valid until
+     * @p done runs.  @p done receives the outputs (runBatch's
+     * bit-identity contract) on the pipeline's last-stage worker,
+     * after every stat the batch moved is written; keep it short, and
+     * never submit from it.  @p request_ids, one per input or empty,
+     * tag the samples in flight.  On runBatch's sequential paths the
+     * batch runs on the calling thread and @p done runs before
+     * submitBatch returns.
+     */
+    void submitBatch(std::span<const nn::Tensor> inputs,
+                     std::span<const std::uint64_t> request_ids,
+                     const RunBatchOptions &options, BatchDone done);
 
     /** Softmax post-processing on the CPU side. */
     std::vector<double> postProc(const nn::Tensor &logits) const;
@@ -184,9 +233,9 @@ class PrimeSystem
      * @p registry: run.inferences / run.tiled_mvms counters (relaxed
      * Stat snapshots off the root group) plus every per-bank
      * MainMemory occupancy probe (see MainMemory::registerMetrics).
-     * The pipeline executor adds its own per-run ring/stage gauges
-     * when the registry is enabled.  Pair with unregisterMetrics
-     * before the system is destroyed.
+     * While both the registration and a pipeline executor live, the
+     * executor's ingress/ring/stage gauges are registered too.  Pair
+     * with unregisterMetrics before the system is destroyed.
      */
     void registerMetrics(telemetry::MetricsRegistry &registry);
 
@@ -268,6 +317,18 @@ class PrimeSystem
     nn::Tensor runConv(const LayerProgram &lp, const nn::Tensor &x,
                        ExecContext &ctx);
 
+    /** Whether runBatch takes the sequential path for @p options. */
+    bool sequentialBatch(const RunBatchOptions &options) const;
+
+    /**
+     * The executor for @p options, started on first use (or restarted
+     * for another ring depth while idle), with one batch admitted.
+     */
+    PipelineExecutor &acquireExecutor(const RunBatchOptions &options);
+
+    /** Drain, stop and join the executor (set-up and release paths). */
+    void stopExecutor();
+
     /** runStage without the span (run()'s sequential loop body). */
     nn::Tensor runStageImpl(const nn::Tensor &x, std::size_t stage,
                             ExecContext &ctx);
@@ -303,6 +364,13 @@ class PrimeSystem
     std::uint64_t inputStageAddr_ = 0;
     /** Memory staging window results Commit back to. */
     std::uint64_t outputStageAddr_ = 0;
+
+    /** Guards the executor handle and the registry its gauges join. */
+    Mutex executorMutex_;
+    std::unique_ptr<PipelineExecutor> executor_
+        PRIME_GUARDED_BY(executorMutex_);
+    telemetry::MetricsRegistry *metrics_ PRIME_GUARDED_BY(executorMutex_) =
+        nullptr;
 };
 
 } // namespace prime::core

@@ -26,8 +26,9 @@ struct Response
     nn::Tensor output;
     /** Admission -> completion latency (the serving histogram's ns). */
     double e2eNs = 0.0;
-    /** Admission -> batch-dispatch share of e2eNs (queueing + coalesce
-     *  window; the rest is execution + completion delivery). */
+    /** Admission -> batch-submission share of e2eNs (queueing in the
+     *  engine's ring; the rest is the pipeline's ingress wait,
+     *  execution and completion delivery). */
     double queueWaitNs = 0.0;
     /** Size of the dynamic batch this request rode in. */
     std::size_t batchSize = 0;
@@ -35,11 +36,11 @@ struct Response
 
 /**
  * Completion callback.  Invoked exactly once per *accepted* request,
- * on a dispatch thread (never on the submitting thread), after the
- * batch it rode in finished executing.  Rejected submissions get no
- * callback -- trySubmit returning false is the whole shed-load signal.
- * Must be thread-safe against other requests' callbacks: concurrent
- * batches complete on concurrent dispatch threads.
+ * after the batch it rode in finished executing, on the pipeline's
+ * last-stage worker (the scheduler thread when the system runs
+ * batches sequentially) -- so keep it short.  Rejected submissions get
+ * no callback -- trySubmit returning false is the whole shed-load
+ * signal.
  */
 using CompletionFn = std::function<void(Response &&)>;
 

@@ -1,7 +1,7 @@
 #include "serve/serving_engine.hh"
 
 #include <algorithm>
-#include <span>
+#include <memory>
 #include <utility>
 
 #include "common/logging.hh"
@@ -11,10 +11,9 @@ namespace prime::serve {
 
 namespace {
 
-/** Idle nap of the scheduler when the ingress ring is empty: long
- *  enough not to starve co-located producers/dispatchers of a core,
- *  short against any realistic batch window. */
-constexpr std::chrono::microseconds kIdleNap{20};
+/** How long the scheduler spins on an empty ring before it parks:
+ *  catches a burst's next request without a wake-up syscall. */
+constexpr double kSchedulerSpinNs = 50e3;
 
 } // namespace
 
@@ -27,47 +26,36 @@ ServingEngine::ServingEngine(core::PrimeSystem &system,
       epoch_(std::chrono::steady_clock::now())
 {
     options_.maxBatch = std::max(1, options_.maxBatch);
-    options_.batchWindowUs = std::max(0, options_.batchWindowUs);
-    options_.dispatchThreads = std::max(1, options_.dispatchThreads);
+    // At most one batch waits ahead of stage 0; the rest of a backlog
+    // stays in this engine's ring, where it coalesces.
+    if (options_.batch.maxQueued <= 0)
+        options_.batch.maxQueued = options_.maxBatch;
 
     // Fixed stats schema: histograms exist (empty) from construction,
     // counters surface as read-time formulas over the atomics the
-    // producer/dispatch threads actually bump -- a Stat has a
-    // single-writer contract the multi-threaded serving path cannot
+    // producer/scheduler/pipeline threads actually bump -- a Stat has
+    // a single-writer contract the multi-threaded serving path cannot
     // honor directly.
     stats_.histogram("serving.e2e_latency_ns");
     stats_.histogram("serving.queue_wait_ns");
     stats_.histogram("serving.batch_size");
-    stats_.formula("serving.accepted", [this] {
-        return static_cast<double>(
-            accepted_.load(std::memory_order_relaxed));
-    });
-    stats_.formula("serving.rejected", [this] {
-        return static_cast<double>(rejected());
-    });
-    stats_.formula("serving.rejected.shape", [this] {
-        return static_cast<double>(
-            rejectedShape_.load(std::memory_order_relaxed));
-    });
-    stats_.formula("serving.rejected.full", [this] {
-        return static_cast<double>(
-            rejectedFull_.load(std::memory_order_relaxed));
-    });
+    stats_.formula("serving.accepted",
+                   [this] { return static_cast<double>(accepted()); });
+    stats_.formula("serving.rejected",
+                   [this] { return static_cast<double>(rejected()); });
+    stats_.formula("serving.rejected.shape",
+                   [this] { return static_cast<double>(rejectedShape()); });
+    stats_.formula("serving.rejected.full",
+                   [this] { return static_cast<double>(rejectedFull()); });
     stats_.formula("serving.rejected.stopping", [this] {
-        return static_cast<double>(
-            rejectedStopping_.load(std::memory_order_relaxed));
+        return static_cast<double>(rejectedStopping());
     });
-    stats_.formula("serving.completed", [this] {
-        return static_cast<double>(
-            completed_.load(std::memory_order_relaxed));
-    });
-    stats_.formula("serving.batches", [this] {
-        return static_cast<double>(
-            batches_.load(std::memory_order_relaxed));
-    });
+    stats_.formula("serving.completed",
+                   [this] { return static_cast<double>(completed()); });
+    stats_.formula("serving.batches",
+                   [this] { return static_cast<double>(batches()); });
     stats_.formula("serving.shed_rate", [this] {
-        const double a = static_cast<double>(
-            accepted_.load(std::memory_order_relaxed));
+        const double a = static_cast<double>(accepted());
         const double r = static_cast<double>(rejected());
         return a + r > 0.0 ? r / (a + r) : 0.0;
     });
@@ -98,16 +86,8 @@ ServingEngine::start()
     if (running_)
         return;
     stopping_.store(false, std::memory_order_seq_cst);
-    {
-        MutexLock lock(dispatchMutex_);
-        dispatchDone_ = false;
-    }
     running_ = true;
     scheduler_ = std::thread([this] { schedulerLoop(); });
-    dispatchers_.reserve(
-        static_cast<std::size_t>(options_.dispatchThreads));
-    for (int i = 0; i < options_.dispatchThreads; ++i)
-        dispatchers_.emplace_back([this] { dispatchLoop(); });
 }
 
 void
@@ -116,21 +96,19 @@ ServingEngine::stop()
     if (!running_)
         return;
     // Close admission first (trySubmit rejects from here on), then let
-    // the scheduler drain the ring and flush its partial batch; only
-    // after it exited is the dispatch queue complete and safe to
-    // close.
+    // the scheduler drain the ring and flush its partial batch; once
+    // it exited no batch is submitted any more, so waiting for the
+    // in-flight count to reach zero sees every completion.
     // seq_cst deliberately: pairs with trySubmit's pendingSubmits_
     // increment so the drain condition in popOrQuit is race-free.
     stopping_.store(true, std::memory_order_seq_cst);
+    arrivals_.wake();
     scheduler_.join();
     {
-        MutexLock lock(dispatchMutex_);
-        dispatchDone_ = true;
+        UniqueLock lock(drainMutex_);
+        while (inflightBatches_.load(std::memory_order_acquire) != 0)
+            drainCv_.wait(lock);
     }
-    dispatchCv_.notify_all();
-    for (std::thread &t : dispatchers_)
-        t.join();
-    dispatchers_.clear();
     running_ = false;
 }
 
@@ -160,6 +138,7 @@ ServingEngine::trySubmit(nn::Tensor input, CompletionFn on_complete)
     const std::uint64_t id = request.id;
     const bool pushed = ingress_.tryPush(std::move(request));
     pendingSubmits_.fetch_sub(1, std::memory_order_seq_cst);
+    arrivals_.wake();
     if (!pushed) {
         rejectedFull_.fetch_add(1, std::memory_order_relaxed);
         return std::nullopt;  // ingress full: load explicitly shed
@@ -169,7 +148,7 @@ ServingEngine::trySubmit(nn::Tensor input, CompletionFn on_complete)
 }
 
 /**
- * Pop the next request, napping while the ring is idle.  Returns false
+ * Pop the next request, parked while the ring is idle.  Returns false
  * only when the engine is stopping and the ring is conclusively
  * drained: admission closed, no submitter mid-push (the gate), and a
  * final pop after both facts still found nothing.
@@ -177,116 +156,86 @@ ServingEngine::trySubmit(nn::Tensor input, CompletionFn on_complete)
 bool
 ServingEngine::popOrQuit(Request &out)
 {
-    for (;;) {
-        if (ingress_.tryPop(out))
-            return true;
-        if (stopping_.load(std::memory_order_seq_cst) &&
-            pendingSubmits_.load(std::memory_order_seq_cst) == 0)
-            return ingress_.tryPop(out);
-        std::this_thread::sleep_for(kIdleNap);
-    }
+    return arrivals_
+        .await([&] { return ingress_.tryPop(out); },
+               [this] {
+                   return stopping_.load(std::memory_order_seq_cst) &&
+                          pendingSubmits_.load(
+                              std::memory_order_seq_cst) == 0;
+               },
+               kSchedulerSpinNs)
+        .ready;
 }
 
 void
 ServingEngine::schedulerLoop()
 {
-    const double window_ns = 1e3 * options_.batchWindowUs;
     const std::size_t max_batch =
         static_cast<std::size_t>(options_.maxBatch);
     for (;;) {
         Request first;
         if (!popOrQuit(first))
             break;
-        // A batch opens on its first request and closes at maxBatch
-        // co-riders or when the latency budget since opening expires,
-        // whichever comes first.
-        Batch batch;
-        batch.requests.reserve(max_batch);
-        batch.requests.push_back(std::move(first));
-        const double deadline = nowNs() + window_ns;
-        while (batch.requests.size() < max_batch) {
-            Request next;
-            if (ingress_.tryPop(next)) {
-                batch.requests.push_back(std::move(next));
-                continue;
-            }
-            // Stopping means no co-rider will ever arrive: close now.
-            if (stopping_.load(std::memory_order_acquire) ||
-                nowNs() >= deadline)
-                break;
-            std::this_thread::yield();
-        }
+        // A batch is what is queued when it opens, up to maxBatch: it
+        // never waits for co-riders.  Under load flush() parks on the
+        // executor's ingress limit (RunBatchOptions::maxQueued), the
+        // backlog builds in this ring meanwhile, and the next batch
+        // takes it.
+        std::vector<Request> batch;
+        batch.reserve(max_batch);
+        batch.push_back(std::move(first));
+        Request next;
+        while (batch.size() < max_batch && ingress_.tryPop(next))
+            batch.push_back(std::move(next));
         flush(std::move(batch));
     }
 }
 
 void
-ServingEngine::flush(Batch &&batch)
+ServingEngine::flush(std::vector<Request> &&requests)
 {
+    PRIME_SPAN(telemetry::globalTrace(), "serve.batch", "serve");
+    const std::size_t n = requests.size();
     {
         MutexLock lock(statsMutex_);
         stats_.histogram("serving.batch_size")
-            .sample(static_cast<double>(batch.requests.size()));
+            .sample(static_cast<double>(n));
     }
     batches_.fetch_add(1, std::memory_order_relaxed);
-    pendingBatches_.fetch_add(1, std::memory_order_relaxed);
-    {
-        MutexLock lock(dispatchMutex_);
-        dispatchQueue_.push_back(std::move(batch));
+    // The completion owns the batch; shared because BatchDone is a
+    // copyable std::function.
+    auto batch = std::make_shared<Batch>();
+    batch->requests = std::move(requests);
+    batch->inputs.reserve(n);
+    std::vector<std::uint64_t> ids;
+    ids.reserve(n);
+    for (Request &r : batch->requests) {
+        batch->inputs.push_back(std::move(r.input));
+        ids.push_back(r.id);
     }
-    dispatchCv_.notify_one();
+    inflightBatches_.fetch_add(1, std::memory_order_relaxed);
+    batch->dispatchNs = nowNs();
+    system_.submitBatch(
+        batch->inputs, ids, options_.batch,
+        [this, batch](std::vector<nn::Tensor> &&outputs) {
+            complete(*batch, std::move(outputs));
+        });
 }
 
 void
-ServingEngine::dispatchLoop()
+ServingEngine::complete(Batch &batch, std::vector<nn::Tensor> &&outputs)
 {
-    for (;;) {
-        Batch batch;
-        {
-            UniqueLock lock(dispatchMutex_);
-            while (dispatchQueue_.empty() && !dispatchDone_)
-                dispatchCv_.wait(lock);
-            if (dispatchQueue_.empty())
-                return;  // done and drained
-            batch = std::move(dispatchQueue_.front());
-            dispatchQueue_.pop_front();
-        }
-        pendingBatches_.fetch_sub(1, std::memory_order_relaxed);
-        inflightBatches_.fetch_add(1, std::memory_order_relaxed);
-        execute(std::move(batch));
-        inflightBatches_.fetch_sub(1, std::memory_order_relaxed);
-    }
-}
-
-void
-ServingEngine::execute(Batch &&batch)
-{
-    PRIME_SPAN(telemetry::globalTrace(), "serve.batch", "serve");
-    const std::size_t n = batch.requests.size();
-    std::vector<nn::Tensor> inputs;
-    inputs.reserve(n);
-    for (Request &r : batch.requests)
-        inputs.push_back(std::move(r.input));
-
-    const double dispatch_ns = nowNs();
-    std::vector<nn::Tensor> outputs;
-    {
-        // One functional machine: concurrent dispatchers serialize
-        // here (PrimeSystem is not reentrant), overlapping their
-        // completion/stats work with the next batch's execution.
-        MutexLock hw(hardwareMutex_);
-        outputs = system_.runBatch(std::span<const nn::Tensor>(inputs),
-                                   options_.batch);
-    }
     const double done_ns = nowNs();
-
+    const double dispatch_ns = batch.dispatchNs;
+    std::vector<Request> &requests = batch.requests;
+    const std::size_t n = requests.size();
     {
         MutexLock lock(statsMutex_);
         telemetry::Histogram &e2e =
             stats_.histogram("serving.e2e_latency_ns");
         telemetry::Histogram &wait =
             stats_.histogram("serving.queue_wait_ns");
-        for (const Request &r : batch.requests) {
+        for (const Request &r : requests) {
             e2e.sample(done_ns - r.admitNs);
             wait.sample(dispatch_ns - r.admitNs);
         }
@@ -294,7 +243,7 @@ ServingEngine::execute(Batch &&batch)
     completed_.fetch_add(n, std::memory_order_relaxed);
 
     for (std::size_t i = 0; i < n; ++i) {
-        Request &r = batch.requests[i];
+        Request &r = requests[i];
         if (!r.onComplete)
             continue;
         Response response;
@@ -305,6 +254,11 @@ ServingEngine::execute(Batch &&batch)
         response.batchSize = n;
         r.onComplete(std::move(response));
     }
+    // Last touch of the engine: stop() may return (and the engine go
+    // away) as soon as this lock is released.
+    MutexLock lock(drainMutex_);
+    if (inflightBatches_.fetch_sub(1, std::memory_order_acq_rel) == 1)
+        drainCv_.notify_all();
 }
 
 void
@@ -315,49 +269,30 @@ ServingEngine::registerMetrics(telemetry::MetricsRegistry &registry)
         return static_cast<double>(ingress_.approxSize());
     });
     metricNames_.push_back("serving.queue.depth");
-    registry.gauge("serving.pending_batches", [this] {
-        return static_cast<double>(
-            pendingBatches_.load(std::memory_order_relaxed));
-    });
-    metricNames_.push_back("serving.pending_batches");
-    registry.gauge("serving.inflight_batches", [this] {
-        return static_cast<double>(
-            inflightBatches_.load(std::memory_order_relaxed));
-    });
+    registry.gauge("serving.inflight_batches",
+                   [this] { return static_cast<double>(inflightBatches()); });
     metricNames_.push_back("serving.inflight_batches");
-    registry.counter("serving.accepted", [this] {
-        return static_cast<double>(
-            accepted_.load(std::memory_order_relaxed));
-    });
+    registry.counter("serving.accepted",
+                     [this] { return static_cast<double>(accepted()); });
     metricNames_.push_back("serving.accepted");
-    registry.counter("serving.rejected", [this] {
-        return static_cast<double>(rejected());
-    });
+    registry.counter("serving.rejected",
+                     [this] { return static_cast<double>(rejected()); });
     metricNames_.push_back("serving.rejected");
-    registry.counter("serving.rejected.shape", [this] {
-        return static_cast<double>(
-            rejectedShape_.load(std::memory_order_relaxed));
-    });
+    registry.counter("serving.rejected.shape",
+                     [this] { return static_cast<double>(rejectedShape()); });
     metricNames_.push_back("serving.rejected.shape");
-    registry.counter("serving.rejected.full", [this] {
-        return static_cast<double>(
-            rejectedFull_.load(std::memory_order_relaxed));
-    });
+    registry.counter("serving.rejected.full",
+                     [this] { return static_cast<double>(rejectedFull()); });
     metricNames_.push_back("serving.rejected.full");
     registry.counter("serving.rejected.stopping", [this] {
-        return static_cast<double>(
-            rejectedStopping_.load(std::memory_order_relaxed));
+        return static_cast<double>(rejectedStopping());
     });
     metricNames_.push_back("serving.rejected.stopping");
-    registry.counter("serving.completed", [this] {
-        return static_cast<double>(
-            completed_.load(std::memory_order_relaxed));
-    });
+    registry.counter("serving.completed",
+                     [this] { return static_cast<double>(completed()); });
     metricNames_.push_back("serving.completed");
-    registry.counter("serving.batches", [this] {
-        return static_cast<double>(
-            batches_.load(std::memory_order_relaxed));
-    });
+    registry.counter("serving.batches",
+                     [this] { return static_cast<double>(batches()); });
     metricNames_.push_back("serving.batches");
 }
 

@@ -12,14 +12,25 @@
  *        | false = shed load        | single consumer
  *        v                          v
  *     rejected               scheduler thread: dynamic batching
- *                            (coalesce up to maxBatch requests or
- *                             batchWindowUs, whichever first)
+ *                            (take what is queued, up to maxBatch;
+ *                             never wait for more)
+ *                                   |
+ *                                   v  PrimeSystem::submitBatch
+ *                            the system's persistent pipeline
+ *                            executor (prime/pipeline.hh): its
+ *                            ingress (at most maxBatch samples from
+ *                            this engine), then one worker per stage
  *                                   |
  *                                   v
- *                            dispatch queue -> N dispatch threads
- *                                   |    (hardware mutex serializes
- *                                   v     the functional crossbars)
- *                            PrimeSystem::runBatch -> completions
+ *                            completions, on the last-stage worker
+ *
+ * The scheduler never waits for a batch to finish, so consecutive
+ * batches overlap in the stages the way the paper's inter-bank
+ * pipeline streams images.  It does wait while the executor's ingress
+ * already holds a batch's worth of samples (RunBatchOptions::maxQueued,
+ * maxBatch by default): meanwhile the backlog builds in the request
+ * ring, where it coalesces into the next batch, and once that ring is
+ * full trySubmit sheds.
  *
  * Contracts:
  *  - Admission control: trySubmit never blocks.  A full ingress ring
@@ -33,22 +44,22 @@
  *    once, even across stop() (the scheduler drains the ring and
  *    flushes its partial batch before exiting).
  *  - Batching policy: the scheduler opens a batch at the first popped
- *    request and closes it after maxBatch requests or batchWindowUs
- *    microseconds, whichever comes first -- the latency budget bounds
- *    how long an early request waits for co-riders.  An empty window
- *    never delays a lone request past the budget.
+ *    request, takes every queued co-rider up to maxBatch and submits
+ *    it; it never waits for co-riders.  So a lone request at low load
+ *    goes straight into the pipeline, and under load -- while the
+ *    submission waits for stage 0 to take the previous batch -- the
+ *    backlog alone fills batches, up to maxBatch.
  *  - Bit-identity: outputs equal per-sample PrimeSystem::run() calls
- *    regardless of batch composition, dispatch thread count or queue
- *    capacity (runBatch's own contract).  Dispatch threads serialize
- *    on one hardware mutex -- the functional machine is a single
- *    physical memory, and PrimeSystem is not reentrant -- so extra
- *    dispatchers overlap completion delivery and stats with execution,
- *    not crossbar work.
+ *    regardless of batch composition, overlap of batches in flight,
+ *    thread count or queue capacity (the executor's own contract:
+ *    every stage processes its samples in arrival order on one
+ *    worker).
  *  - One engine serves one mapped model (the PrimeSystem it wraps);
  *    coalescing is therefore per-model by construction.  Serving
  *    several models means several engines over several systems.
  *  - Threading: trySubmit from any thread; start/stop/stats from one
- *    controlling thread (stats() reads are stable only after stop()).
+ *    controlling thread (stats() reads are stable only after stop(),
+ *    which waits for every batch in flight).
  *    Submissions racing stop() may be rejected, and every submission
  *    after stop() returned is (serving.rejected.stopping) until the
  *    next start().
@@ -57,8 +68,8 @@
  * telemetry::Histogram stats (p50/p95/p99), batch sizes in a third;
  * serving.accepted/rejected(.full/.stopping/.shape)/completed/batches
  * surface both as stat formulas and as MetricsRegistry counters, and
- * registerMetrics adds live gauges for ingress queue depth, batches
- * waiting for a dispatcher and batches in flight.
+ * registerMetrics adds live gauges for ingress queue depth and batches
+ * in flight.
  */
 
 #ifndef PRIME_SERVE_SERVING_ENGINE_HH
@@ -67,8 +78,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <deque>
-#include <memory>
 #include <optional>
 #include <string>
 #include <thread>
@@ -76,6 +85,7 @@
 
 #include "common/mpsc_ring.hh"
 #include "common/mutex.hh"
+#include "common/parker.hh"
 #include "common/thread_annotations.hh"
 #include "common/stats.hh"
 #include "common/telemetry/metrics.hh"
@@ -84,19 +94,16 @@
 
 namespace prime::serve {
 
-/** Serving-engine knobs (CLI: --max-batch, --batch-window-us, ...). */
+/** Serving-engine knobs (CLI: --max-batch, --queue-cap, ...). */
 struct ServingOptions
 {
     /** Bounded ingress ring slots; a full ring sheds load. */
     std::size_t queueCapacity = 1024;
-    /** Largest dynamic batch one dispatch carries. */
+    /** Largest dynamic batch one submission carries. */
     int maxBatch = 16;
-    /** Latency budget: a batch closes this long after its first
-     *  request even if maxBatch was not reached. */
-    int batchWindowUs = 200;
-    /** Dispatch worker threads pulling closed batches. */
-    int dispatchThreads = 1;
-    /** Passed through to PrimeSystem::runBatch per dispatch. */
+    /** Passed through to PrimeSystem::submitBatch per batch; a
+     *  maxQueued left at 0 becomes maxBatch (see the batching
+     *  policy). */
     core::PrimeSystem::RunBatchOptions batch;
 };
 
@@ -111,13 +118,13 @@ class ServingEngine
     ServingEngine(const ServingEngine &) = delete;
     ServingEngine &operator=(const ServingEngine &) = delete;
 
-    /** Spawn the scheduler + dispatch threads (idempotent). */
+    /** Spawn the scheduler thread (idempotent). */
     void start();
 
     /**
      * Drain and join: stop admitting, let the scheduler empty the
-     * ingress ring and flush its partial batch, run every queued batch
-     * to completion, then join all threads (idempotent).  The counter
+     * ingress ring and flush its partial batch, join it, then wait
+     * until every submitted batch completed (idempotent).  The counter
      * formulas in stats() read the final totals live.
      */
     void stop();
@@ -141,15 +148,15 @@ class ServingEngine
     /** serving.* stats: latency/batch-size histograms + counter
      *  formulas.  Stable to read once stop() returned -- the analysis
      *  escape below encodes exactly that quiescence contract: the
-     *  histograms are statsMutex_-guarded while dispatchers run, and
+     *  histograms are statsMutex_-guarded while batches complete, and
      *  this unlocked handle is for the controlling thread after
-     *  stop() joined them all. */
+     *  stop() saw them all complete. */
     StatGroup &stats() PRIME_NO_THREAD_SAFETY_ANALYSIS { return stats_; }
 
     /**
      * Register live probes with @p registry: serving.queue.depth /
-     * serving.pending_batches / serving.inflight_batches gauges and
-     * the accepted/rejected/completed/batches counters.  Pair with
+     * serving.inflight_batches gauges and the
+     * accepted/rejected/completed/batches counters.  Pair with
      * unregisterMetrics before the engine is destroyed.
      */
     void registerMetrics(telemetry::MetricsRegistry &registry);
@@ -189,22 +196,29 @@ class ServingEngine
     {
         return batches_.load(std::memory_order_relaxed);
     }
+    /** Batches submitted and not yet completed (relaxed snapshot). */
+    std::uint64_t inflightBatches() const
+    {
+        return inflightBatches_.load(std::memory_order_relaxed);
+    }
 
     const ServingOptions &options() const { return options_; }
 
   private:
-    /** One closed dynamic batch on its way to a dispatcher. */
+    /** One submitted batch: its riders, and the inputs the pipeline
+     *  reads until the batch completes. */
     struct Batch
     {
         std::vector<Request> requests;
+        std::vector<nn::Tensor> inputs;
+        double dispatchNs = 0.0;
     };
 
     double nowNs() const;
     bool popOrQuit(Request &out);
     void schedulerLoop();
-    void dispatchLoop();
-    void flush(Batch &&batch);
-    void execute(Batch &&batch);
+    void flush(std::vector<Request> &&requests);
+    void complete(Batch &batch, std::vector<nn::Tensor> &&outputs);
 
     core::PrimeSystem &system_;
     ServingOptions options_;
@@ -212,6 +226,9 @@ class ServingEngine
     std::size_t inputCount_;
 
     MpscRing<Request> ingress_;
+    /** The scheduler parks here for requests (woken by trySubmit and
+     *  stop()). */
+    Parker arrivals_;
     /** Submitters mid-trySubmit; pairs with stopping_ (both seq_cst)
      *  so the draining scheduler never races an in-flight push. */
     std::atomic<std::uint64_t> pendingSubmits_{0};
@@ -222,22 +239,14 @@ class ServingEngine
     std::atomic<std::uint64_t> rejectedStopping_{0};
     std::atomic<std::uint64_t> completed_{0};
     std::atomic<std::uint64_t> batches_{0};
-    /** Closed batches waiting for a dispatcher (gauge mirror). */
-    std::atomic<std::uint64_t> pendingBatches_{0};
-    /** Batches currently inside runBatch/completion. */
+    /** Batches submitted and not yet completed; stop() waits on
+     *  drainCv_ for zero (decremented under drainMutex_). */
     std::atomic<std::uint64_t> inflightBatches_{0};
+    Mutex drainMutex_;
+    CondVar drainCv_;
 
-    /** Scheduler -> dispatcher handoff (closed batches). */
-    Mutex dispatchMutex_;
-    CondVar dispatchCv_;
-    std::deque<Batch> dispatchQueue_ PRIME_GUARDED_BY(dispatchMutex_);
-    bool dispatchDone_ PRIME_GUARDED_BY(dispatchMutex_) = false;
-
-    /** Serializes runBatch: the one functional machine.  No data of
-     *  its own -- the capability stands for exclusive use of the
-     *  non-reentrant PrimeSystem. */
-    Mutex hardwareMutex_;
-    /** Guards the histograms (dispatchers sample concurrently). */
+    /** Guards the histograms (the scheduler samples batch sizes while
+     *  the last-stage worker samples latencies). */
     Mutex statsMutex_;
     StatGroup stats_ PRIME_GUARDED_BY(statsMutex_);
 
@@ -245,7 +254,6 @@ class ServingEngine
     bool running_ = false;
     std::chrono::steady_clock::time_point epoch_;
     std::thread scheduler_;
-    std::vector<std::thread> dispatchers_;
     std::vector<std::string> metricNames_;
 };
 

@@ -2,19 +2,26 @@
  * @file
  * Inter-bank pipeline executor tests: the SPSC ring primitive (checked
  * against a mutex-based reference queue), stage extraction from the
- * plan, bit-identity of the free-running batch path against sequential
- * run() across thread counts / queue bounds / handoff batch sizes,
- * executor stats, and the analytic stage-cost cross-check.
+ * plan, bit-identity of the streaming batch path against sequential
+ * run() across thread counts / queue bounds / handoff batch sizes /
+ * concurrent callers, executor stats, the executor's lifecycle (no
+ * threads while setting up, parked when idle, joined on re-map,
+ * release and destruction), and the analytic stage-cost cross-check.
  */
 
 #include <gtest/gtest.h>
 
+#include <time.h>
+
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <deque>
+#include <filesystem>
 #include <mutex>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/spsc_ring.hh"
@@ -346,16 +353,22 @@ TEST(PipelineEngine, QueueBoundsPreserveResults)
         expected.push_back(prime.run(in));
 
     ThreadPool::setGlobalThreadCount(4);
-    for (int cap : {1, 2, 8}) {
+    // Ring depths, then ingress limits (maxQueued: the submitter parks
+    // and resumes mid-batch, the serving engine's coalescing lever).
+    const std::pair<int, int> bounds[] = {{1, 0}, {2, 0}, {8, 0},
+                                          {2, 1}, {2, 3}};
+    for (const auto &[cap, queued] : bounds) {
         PrimeSystem::RunBatchOptions opt;
         opt.queueCapacity = cap;
+        opt.maxQueued = queued;
         std::vector<nn::Tensor> got = prime.runBatch(
             std::span<const nn::Tensor>(inputs), opt);
         ASSERT_EQ(got.size(), expected.size());
         for (std::size_t i = 0; i < got.size(); ++i)
             for (std::size_t k = 0; k < got[i].size(); ++k)
                 EXPECT_EQ(got[i][k], expected[i][k])
-                    << "cap=" << cap << " sample=" << i;
+                    << "cap=" << cap << " maxQueued=" << queued
+                    << " sample=" << i;
     }
     ThreadPool::setGlobalThreadCount(0);
 }
@@ -548,6 +561,186 @@ TEST(PipelineEngine, BitIdenticalWithMetricsEnabled)
     for (const auto &s : registry.summarize())
         saw_mem |= s.name.rfind("mem.", 0) == 0;
     EXPECT_TRUE(saw_mem);
+}
+
+// ------------------------------------------------ executor lifecycle --
+
+/** Threads of this process, as /proc/self/task lists them. */
+std::size_t
+threadCount()
+{
+    std::size_t n = 0;
+    for ([[maybe_unused]] const auto &entry :
+         std::filesystem::directory_iterator("/proc/self/task"))
+        ++n;
+    return n;
+}
+
+/**
+ * The thread count once it reaches @p want, or after 2 s: a joined
+ * thread can stay listed for a moment after pthread_join returned.
+ */
+std::size_t
+settledThreadCount(std::size_t want)
+{
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(2);
+    std::size_t n = threadCount();
+    while (n != want && std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        n = threadCount();
+    }
+    return n;
+}
+
+void
+expectSameOutputs(const std::vector<nn::Tensor> &got,
+                  const std::vector<nn::Tensor> &expected,
+                  const std::string &what)
+{
+    ASSERT_EQ(got.size(), expected.size()) << what;
+    for (std::size_t i = 0; i < got.size(); ++i) {
+        ASSERT_EQ(got[i].size(), expected[i].size()) << what;
+        for (std::size_t k = 0; k < got[i].size(); ++k)
+            EXPECT_EQ(got[i][k], expected[i][k])
+                << what << " sample=" << i << " element=" << k;
+    }
+}
+
+double
+processCpuMs()
+{
+    timespec ts{};
+    clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+    return static_cast<double>(ts.tv_sec) * 1e3 +
+           static_cast<double>(ts.tv_nsec) / 1e6;
+}
+
+TEST(PipelineExecutor, SetUpAndRunStartNoThreads)
+{
+    // The shared compute pool exists before the baseline, so only the
+    // executor could change the count.
+    ThreadPool::setGlobalThreadCount(4);
+    (void)ThreadPool::global();
+    const std::size_t before = threadCount();
+
+    PrimeSystem prime(tinyBankParams());
+    programTiny(prime);
+    ASSERT_EQ(prime.stages().size(), 4u);
+    (void)prime.run(sampleInputs(1)[0]);
+    EXPECT_EQ(threadCount(), before);
+
+    // The first pipelined batch starts one worker per stage.
+    const std::vector<nn::Tensor> inputs = sampleInputs(4);
+    (void)prime.runBatch(std::span<const nn::Tensor>(inputs));
+    EXPECT_EQ(threadCount(), before + 4);
+    ThreadPool::setGlobalThreadCount(0);
+}
+
+TEST(PipelineExecutor, IdleWorkersParkInsteadOfSpinning)
+{
+    PrimeSystem prime(tinyBankParams());
+    programTiny(prime);
+    const std::vector<nn::Tensor> inputs = sampleInputs(8);
+    (void)prime.runBatch(std::span<const nn::Tensor>(inputs));
+
+    const double cpu0 = processCpuMs();
+    std::this_thread::sleep_for(std::chrono::milliseconds(200));
+    const double idle_cpu_ms = processCpuMs() - cpu0;
+    // Four workers spinning through the 200 ms would burn up to 800 ms.
+    EXPECT_LT(idle_cpu_ms, 50.0);
+}
+
+TEST(PipelineExecutor, RemapReleaseAndDestructionJoinWorkers)
+{
+    ThreadPool::setGlobalThreadCount(4);
+    (void)ThreadPool::global();
+    const std::size_t base = threadCount();
+    const std::vector<nn::Tensor> inputs = sampleInputs(10);
+    {
+        PrimeSystem prime(tinyBankParams());
+        programTiny(prime);
+        (void)prime.runBatch(std::span<const nn::Tensor>(inputs));
+        EXPECT_EQ(threadCount(), base + 4);
+
+        // Re-map to a three-stage plan: the old workers go at once.
+        // (Re-programming the same mats needs the release in between.)
+        const nn::Topology three = nn::parseTopology(
+            "mlp-3stage", "64-256-256-10", 1, 8, 8);
+        Rng rng(5);
+        const nn::Network net = nn::buildNetwork(three, rng);
+        prime.mapTopology(three);
+        EXPECT_EQ(settledThreadCount(base), base);
+        prime.release();
+        prime.programWeight(net);
+        prime.configDatapath();
+        ASSERT_EQ(prime.stages().size(), 3u);
+        EXPECT_EQ(threadCount(), base);
+
+        std::vector<nn::Tensor> expected;
+        for (const nn::Tensor &in : inputs)
+            expected.push_back(prime.run(in));
+        expectSameOutputs(
+            prime.runBatch(std::span<const nn::Tensor>(inputs)), expected,
+            "three-stage plan");
+        EXPECT_EQ(threadCount(), base + 3);
+
+        prime.release();
+        EXPECT_EQ(settledThreadCount(base), base);
+
+        // Programmed again, the next batch starts fresh workers, which
+        // the destructor joins.
+        prime.programWeight(net);
+        prime.configDatapath();
+        expectSameOutputs(
+            prime.runBatch(std::span<const nn::Tensor>(inputs)), expected,
+            "after release");
+        EXPECT_EQ(threadCount(), base + 3);
+    }
+    EXPECT_EQ(settledThreadCount(base), base);
+    ThreadPool::setGlobalThreadCount(0);
+}
+
+TEST(PipelineExecutor, ConcurrentRunBatchCallersMatchRun)
+{
+    PrimeSystem prime(tinyBankParams());
+    programTiny(prime);
+    const std::vector<nn::Tensor> inputs = sampleInputs(12);
+    std::vector<nn::Tensor> expected;
+    for (const nn::Tensor &in : inputs)
+        expected.push_back(prime.run(in));
+
+    // Two callers stream interleaving batches (different halves, odd
+    // handoff sizes) through the same stage workers.
+    constexpr int kRounds = 5;
+    std::vector<std::vector<nn::Tensor>> got(2 * kRounds);
+    auto caller = [&](std::size_t half, int handoff) {
+        PrimeSystem::RunBatchOptions opt;
+        opt.handoffBatch = handoff;
+        const std::span<const nn::Tensor> mine(inputs.data() + 6 * half,
+                                               6);
+        for (int r = 0; r < kRounds; ++r)
+            got[half * kRounds + static_cast<std::size_t>(r)] =
+                prime.runBatch(mine, opt);
+    };
+    std::thread a(caller, 0, 3);
+    std::thread b(caller, 1, 4);
+    a.join();
+    b.join();
+    for (std::size_t half = 0; half < 2; ++half) {
+        const std::vector<nn::Tensor> want(
+            expected.begin() + static_cast<std::ptrdiff_t>(6 * half),
+            expected.begin() + static_cast<std::ptrdiff_t>(6 * half + 6));
+        for (int r = 0; r < kRounds; ++r)
+            expectSameOutputs(
+                got[half * kRounds + static_cast<std::size_t>(r)], want,
+                "caller " + std::to_string(half) + " round " +
+                    std::to_string(r));
+    }
+    EXPECT_EQ(prime.stats().get("pipeline.batches").count(),
+              static_cast<std::uint64_t>(2 * kRounds));
+    EXPECT_EQ(prime.stats().get("pipeline.samples").count(),
+              static_cast<std::uint64_t>(12 * kRounds));
 }
 
 TEST(PipelineEngine, AnalyticStageCostsCrossCheck)

@@ -4,9 +4,9 @@
  * parity, boundary behavior, multi-producer hammer designed to run
  * under TSan), and the dynamic-batching ServingEngine over a real
  * 4-bank pipelined PrimeSystem -- admission control / shed-load
- * semantics, batch coalescing bounds, latency histograms, and
- * bit-identity of served outputs against sequential run() across
- * 1/4/8 dispatch threads.
+ * semantics, batch coalescing bounds, latency histograms, batches
+ * overlapping in the pipeline, and bit-identity of served outputs
+ * against sequential run() across 1/4/8-thread compute pools.
  */
 
 #include <gtest/gtest.h>
@@ -300,12 +300,11 @@ TEST(ServingEngine, CoalescesQueuedRequestsUpToMaxBatch)
     ServingOptions sopt;
     sopt.queueCapacity = 64;
     sopt.maxBatch = 4;
-    sopt.batchWindowUs = 100000;  // window long enough to never close
     ServingEngine engine(prime, sopt);
     Collector collector;
 
     // Pre-queue 10 requests, then start: the scheduler finds a backlog
-    // and must close batches at maxBatch, not at the window.
+    // and must close batches at maxBatch.
     constexpr std::size_t kRequests = 10;
     for (std::size_t i = 0; i < kRequests; ++i)
         ASSERT_TRUE(engine
@@ -465,7 +464,7 @@ TEST(ServingEngine, CountsEachRejectionReason)
     engine.unregisterMetrics(registry);
 }
 
-TEST(ServingEngine, ServedOutputsBitIdenticalAcrossDispatchThreads)
+TEST(ServingEngine, ServedOutputsBitIdenticalAcrossThreadPoolSizes)
 {
     core::PrimeSystem prime(tinyBankParams());
     programTiny(prime);
@@ -478,12 +477,10 @@ TEST(ServingEngine, ServedOutputsBitIdenticalAcrossDispatchThreads)
         expected.push_back(prime.run(in));
 
     for (int threads : {1, 4, 8}) {
-        ThreadPool::setGlobalThreadCount(4);
+        ThreadPool::setGlobalThreadCount(threads);
         ServingOptions sopt;
         sopt.queueCapacity = 64;
         sopt.maxBatch = 5;  // batches straddle the input set unevenly
-        sopt.batchWindowUs = 200;
-        sopt.dispatchThreads = threads;
         ServingEngine engine(prime, sopt);
         Collector collector;
 
@@ -510,6 +507,62 @@ TEST(ServingEngine, ServedOutputsBitIdenticalAcrossDispatchThreads)
                     << "threads=" << threads << " sample=" << i
                     << " element=" << k;
         }
+    }
+}
+
+TEST(ServingEngine, SingleRequestBatchesOverlapInThePipeline)
+{
+    // With one request per batch the scheduler submits each batch and
+    // moves on: batches stream through the stages together instead of
+    // waiting for one another.
+    core::PrimeSystem prime(tinyBankParams());
+    programTiny(prime);
+    const std::vector<nn::Tensor> &inputs = servingSetup().inputs;
+    std::vector<nn::Tensor> expected;
+    for (const nn::Tensor &in : inputs)
+        expected.push_back(prime.run(in));
+
+    ServingOptions sopt;
+    sopt.queueCapacity = 64;
+    sopt.maxBatch = 1;
+    ServingEngine engine(prime, sopt);
+    std::mutex mutex;
+    std::map<std::uint64_t, Response> responses;
+    std::atomic<std::uint64_t> peak_inflight{0};
+    auto sink = [&](Response &&r) {
+        // The completing batch still counts as in flight here.
+        const std::uint64_t now = engine.inflightBatches();
+        std::uint64_t seen = peak_inflight.load(std::memory_order_relaxed);
+        while (now > seen && !peak_inflight.compare_exchange_weak(
+                                 seen, now, std::memory_order_relaxed)) {
+        }
+        std::lock_guard<std::mutex> lock(mutex);
+        responses.emplace(r.id, std::move(r));
+    };
+    // Queue the requests first, so the scheduler finds a backlog.
+    constexpr std::size_t kRequests = 32;
+    std::vector<std::uint64_t> ids;
+    for (std::size_t i = 0; i < kRequests; ++i) {
+        auto id = engine.trySubmit(inputs[i % inputs.size()], sink);
+        ASSERT_TRUE(id.has_value());
+        ids.push_back(*id);
+    }
+    engine.start();
+    engine.stop();
+
+    EXPECT_EQ(engine.batches(), kRequests);
+    EXPECT_EQ(engine.inflightBatches(), 0u);
+    EXPECT_GT(peak_inflight.load(std::memory_order_relaxed), 1u);
+    ASSERT_EQ(responses.size(), kRequests);
+    for (std::size_t i = 0; i < kRequests; ++i) {
+        const Response &r = responses.at(ids[i]);
+        EXPECT_EQ(r.batchSize, 1u);
+        EXPECT_GE(r.queueWaitNs, 0.0) << i;
+        EXPECT_LE(r.queueWaitNs, r.e2eNs) << i;
+        const nn::Tensor &want = expected[i % inputs.size()];
+        ASSERT_EQ(r.output.size(), want.size());
+        for (std::size_t k = 0; k < want.size(); ++k)
+            EXPECT_EQ(r.output[k], want[k]) << i << " element " << k;
     }
 }
 

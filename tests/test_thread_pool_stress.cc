@@ -6,7 +6,8 @@
  * memory-ordering contract (ARCHITECTURE.md) promises to survive --
  * many workers appending trace events while another thread reads the
  * session -- and pin the determinism contract of the evaluator fan-out
- * down to bit identity.
+ * down to bit identity.  The Parker tests hammer the park/wake
+ * handshake the pipeline executor's workers sleep on.
  */
 
 #include <gtest/gtest.h>
@@ -18,6 +19,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/parker.hh"
 #include "common/telemetry/histogram.hh"
 #include "common/telemetry/trace_session.hh"
 #include "common/thread_pool.hh"
@@ -219,6 +221,60 @@ TEST(ThreadPoolStress, NestedParallelForRunsInline)
     });
     for (std::size_t i = 0; i < kOuter; ++i)
         EXPECT_EQ(out[i], kInner * (kInner + 1) / 2);
+}
+
+TEST(ThreadPoolStress, ParkerNeverSleepsThroughAWake)
+{
+    // Ping-pong with no spin budget, so every wait parks: a lost
+    // wake-up would hang the test (ctest's timeout catches it).
+    Parker ping, pong;
+    std::atomic<int> ball{0};
+    constexpr int kRounds = 2000;
+    std::thread other([&] {
+        for (int i = 0; i < kRounds; ++i) {
+            ping.await(
+                [&] { return ball.load(std::memory_order_acquire) == 1; },
+                [] { return false; }, 0.0);
+            ball.store(0, std::memory_order_release);
+            pong.wake();
+        }
+    });
+    for (int i = 0; i < kRounds; ++i) {
+        ball.store(1, std::memory_order_release);
+        ping.wake();
+        const Parker::Outcome o = pong.await(
+            [&] { return ball.load(std::memory_order_acquire) == 0; },
+            [] { return false; }, 0.0);
+        ASSERT_TRUE(o.ready) << i;
+    }
+    other.join();
+    EXPECT_EQ(ping.parked(), 0);
+    EXPECT_EQ(pong.parked(), 0);
+}
+
+TEST(ThreadPoolStress, ParkerQuitEndsAWait)
+{
+    Parker parker;
+    // quit() with nothing ready: not ready, and no parking.
+    const Parker::Outcome quit =
+        parker.await([] { return false; }, [] { return true; }, 1e6);
+    EXPECT_FALSE(quit.ready);
+    EXPECT_EQ(quit.parkedNs, 0.0);
+    // quit() turning true while parked ends the wait at the next
+    // wake.
+    std::atomic<bool> leave{false};
+    std::thread waker([&] {
+        while (parker.parked() == 0)
+            std::this_thread::yield();
+        leave.store(true, std::memory_order_release);
+        parker.wake();
+    });
+    const Parker::Outcome woken = parker.await(
+        [] { return false; },
+        [&] { return leave.load(std::memory_order_acquire); }, 0.0);
+    waker.join();
+    EXPECT_FALSE(woken.ready);
+    EXPECT_EQ(parker.parked(), 0);
 }
 
 /** Bit-exact double comparison: EXPECT_DOUBLE_EQ tolerates 4 ULPs,

@@ -39,9 +39,9 @@
  *   (sampler period, default 10).
  * `serve` options (plus the run training/metrics/warm-up ones):
  *   --qps N (offered load), --requests N (total submissions),
- *   --max-batch N / --batch-window-us N (dynamic batching knobs),
+ *   --max-batch N (dynamic batch ceiling),
  *   --queue-cap N (ingress ring slots; overflow sheds load),
- *   --dispatch-threads N, --producers N (load-generator threads).
+ *   --producers N (load-generator threads).
  */
 
 #include <algorithm>
@@ -92,9 +92,7 @@ struct CliOptions
     double qps = 2000.0;      ///< serve: offered load (req/s)
     int requests = 2000;      ///< serve: total submissions
     int maxBatch = 16;        ///< serve: dynamic batch ceiling
-    int batchWindowUs = 200;  ///< serve: coalescing latency budget
     int queueCap = 1024;      ///< serve: ingress ring capacity
-    int dispatchThreads = 1;  ///< serve: dispatch workers
     int producers = 1;        ///< serve: load-generator threads
 
     bool metricsRequested() const
@@ -155,14 +153,8 @@ optionsFromArgs(int argc, char **argv)
             opt.requests = std::atoi(argv[++i]);
         else if (std::strcmp(argv[i], "--max-batch") == 0 && i + 1 < argc)
             opt.maxBatch = std::atoi(argv[++i]);
-        else if (std::strcmp(argv[i], "--batch-window-us") == 0 &&
-                 i + 1 < argc)
-            opt.batchWindowUs = std::atoi(argv[++i]);
         else if (std::strcmp(argv[i], "--queue-cap") == 0 && i + 1 < argc)
             opt.queueCap = std::atoi(argv[++i]);
-        else if (std::strcmp(argv[i], "--dispatch-threads") == 0 &&
-                 i + 1 < argc)
-            opt.dispatchThreads = std::atoi(argv[++i]);
         else if (std::strcmp(argv[i], "--producers") == 0 && i + 1 < argc)
             opt.producers = std::atoi(argv[++i]);
     }
@@ -241,10 +233,10 @@ usage()
         "         --metrics-interval-ms N sampler period (default "
         "10)\n"
         "serve:   --qps N --requests N --producers N   offered load\n"
-        "         --max-batch N --batch-window-us N    batching "
+        "         --max-batch N                        batching "
         "policy\n"
-        "         --queue-cap N --dispatch-threads N   ingress / "
-        "dispatch\n");
+        "         --queue-cap N                        ingress ring "
+        "slots\n");
     return 2;
 }
 
@@ -526,8 +518,6 @@ cmdServe(int argc, char **argv, const CliOptions &opt)
     sopt.queueCapacity =
         static_cast<std::size_t>(std::max(1, opt.queueCap));
     sopt.maxBatch = opt.maxBatch;
-    sopt.batchWindowUs = opt.batchWindowUs;
-    sopt.dispatchThreads = opt.dispatchThreads;
     sopt.batch.pipeline = opt.pipeline;
     serve::ServingEngine engine(prime, sopt);
 
@@ -582,13 +572,11 @@ cmdServe(int argc, char **argv, const CliOptions &opt)
         static_cast<unsigned long long>(engine.batches()));
     std::printf(
         "achieved %.1f req/s (incl. drain) | e2e latency p50 %.3f ms, "
-        "p95 %.3f ms, p99 %.3f ms | max-batch %d, window %d us, "
-        "queue %zu, %d dispatcher(s)\n\n",
+        "p95 %.3f ms, p99 %.3f ms | max-batch %d, queue %zu\n\n",
         wall_s > 0.0 ? engine.completed() / wall_s : 0.0,
         e2e.quantile(0.50) / 1e6, e2e.quantile(0.95) / 1e6,
         e2e.quantile(0.99) / 1e6, engine.options().maxBatch,
-        engine.options().batchWindowUs, engine.options().queueCapacity,
-        engine.options().dispatchThreads);
+        engine.options().queueCapacity);
     engine.stats().dump(std::cout);
     std::printf("\n");
     prime.stats().dump(std::cout);
